@@ -1,7 +1,6 @@
 """Squeezed-vacuum modeling and calibration for sub-threshold OPOs."""
 
 from .calibration import (
-    FitConvergenceError,
     FitResult,
     InfeasibleCorrectionError,
     MeasuredLevels,
@@ -41,7 +40,6 @@ __all__ = [
     "ConfigError",
     "DetectionChain",
     "ExperimentConfig",
-    "FitConvergenceError",
     "FitResult",
     "InfeasibleCorrectionError",
     "LangevinConfig",

@@ -1,9 +1,11 @@
 """Inverse problems: detector dark-noise correction of measured dB levels
-and least-squares recovery of phase jitter (and optionally pump parameter)
-from a measured squeezing / anti-squeezing pair.
+and recovery of phase jitter (and optionally pump parameter) from a
+measured squeezing / anti-squeezing pair.
 
-Residuals are always formed in dB so the squeezed (~0.15 linear) and
-anti-squeezed (~20 linear) readings carry comparable weight.
+Jitter mixes the quadratures linearly and conserves R_+ + R_-, so both
+fits invert the model in closed form.  Residuals are always formed in dB
+so the squeezed (~0.15 linear) and anti-squeezed (~20 linear) readings
+carry comparable weight.
 """
 
 from __future__ import annotations
@@ -11,31 +13,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import optimize
-
 from .model import PUMP_X_MAX, QuadratureVariances, forward_variances, from_db, gain_from_x, to_db
 from .phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
 
-# Seeding grid for the joint fit; its spacing is the coarse resolution the
-# simplex descent refines from.
-JOINT_X_GRID = np.linspace(0.0, 0.999, 100)
-JOINT_THETA_GRID = np.linspace(0.0, math.pi / 4, 33)
-
 THETA_MAX = math.pi / 4
+
+# Fixed step counts shrink a unit bracket below one float spacing:
+# 2^-60 for bisection, 0.618^80 for golden-section search.
+_BISECTION_STEPS = 60
+_GOLDEN_STEPS = 80
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class InfeasibleCorrectionError(ValueError):
     """Measured power at or below the dark-noise floor: no optical level
     can be inferred from it."""
-
-
-class FitConvergenceError(RuntimeError):
-    """Simplex descent hit its iteration cap; carries the best point seen."""
-
-    def __init__(self, message: str, best: FitResult):
-        super().__init__(message)
-        self.best = best
 
 
 @dataclass(frozen=True)
@@ -50,13 +42,15 @@ class MeasuredLevels:
     uncertainty_db: float | None = None
 
     def __post_init__(self) -> None:
-        if self.squeezing_db >= 0.0:
+        # Chained comparisons are False for NaN, so they also reject it.
+        if not -math.inf < self.squeezing_db < 0.0:
             raise ValueError(
-                f"squeezing level must lie below shot noise, got {self.squeezing_db} dB"
+                f"squeezing level must be finite and below shot noise, got "
+                f"{self.squeezing_db} dB"
             )
-        if self.anti_squeezing_db <= 0.0:
+        if not 0.0 < self.anti_squeezing_db < math.inf:
             raise ValueError(
-                f"anti-squeezing level must lie above shot noise, got "
+                f"anti-squeezing level must be finite and above shot noise, got "
                 f"{self.anti_squeezing_db} dB"
             )
 
@@ -64,7 +58,8 @@ class MeasuredLevels:
 @dataclass(frozen=True)
 class FitResult:
     """Fitted phase jitter (radians), optional pump parameter, the final
-    sum of squared dB residuals, and the optimizer effort."""
+    sum of squared dB residuals, and the solver effort (bisection and
+    search steps; 0 for a pure closed form)."""
 
     theta_rms: float
     residual: float
@@ -89,6 +84,13 @@ class FitResult:
         return None if self.x is None else gain_from_x(self.x)
 
 
+def _check_reading(level_db: float, clearance: float) -> None:
+    if not math.isfinite(level_db):
+        raise ValueError(f"level must be a finite dB value, got {level_db}")
+    if not 0.0 <= clearance < 1.0:
+        raise ValueError(f"clearance must be in [0, 1), got {clearance}")
+
+
 def dark_noise_correct(level_db: float, clearance: float) -> float:
     """Remove the detector circuit noise from a measured level.
 
@@ -96,8 +98,7 @@ def dark_noise_correct(level_db: float, clearance: float) -> float:
     dark-noise power, so the inferred optical level is
     (measured - clearance) / (1 - clearance) in linear units.
     """
-    if not 0.0 <= clearance < 1.0:
-        raise ValueError(f"clearance must be in [0, 1), got {clearance}")
+    _check_reading(level_db, clearance)
     if clearance == 0.0:
         return level_db
     lin = from_db(level_db)
@@ -112,15 +113,53 @@ def dark_noise_correct(level_db: float, clearance: float) -> float:
 def dark_noise_uncorrect(level_db: float, clearance: float) -> float:
     """Exact inverse of :func:`dark_noise_correct`: re-add the dark noise
     to a corrected level to forward-simulate a raw reading."""
-    if not 0.0 <= clearance < 1.0:
-        raise ValueError(f"clearance must be in [0, 1), got {clearance}")
+    _check_reading(level_db, clearance)
     if clearance == 0.0:
         return level_db
     return to_db(from_db(level_db) * (1.0 - clearance) + clearance)
 
 
-def _degrade_fn(use_approx: bool):
-    return degrade_approx if use_approx else degrade_exact
+def _below_floor(target_minus: float, R: QuadratureVariances) -> bool:
+    # Tolerate one dB<->linear roundtrip of rounding before declaring a
+    # measurement unexplainable by any jitter.
+    return target_minus < R.r_minus * (1.0 - 1e-12)
+
+
+def _jitter_mix(R: QuadratureVariances, target_minus: float) -> float:
+    """lam of the mix R'_- = (R_+ + R_-)/2 - lam (R_+ - R_-)/2 giving
+    ``target_minus``: exp(-2 theta_rms^2), or cos(2 theta_rms) if approx."""
+    spread = R.r_plus - R.r_minus
+    # No jitter changes an unsqueezed pair, so it needs none.
+    return (R.r_plus + R.r_minus - 2.0 * target_minus) / spread if spread > 0.0 else 1.0
+
+
+def _theta_from_mix(lam: float, use_approx: bool) -> float | None:
+    """Jitter width with mix factor ``lam``; None if that exceeds pi/4."""
+    if lam >= 1.0:
+        return 0.0
+    if use_approx:
+        theta = 0.5 * math.acos(max(lam, -1.0))
+    else:
+        theta = math.sqrt(-0.5 * math.log(lam)) if lam > 0.0 else math.inf
+    return theta if theta <= THETA_MAX else None
+
+
+def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
+    """Minimize ``f`` on [lo, hi] by golden-section search; the endpoints
+    are candidates too.  Returns (minimum, argmin)."""
+    a, b = lo, hi
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(_GOLDEN_STEPS):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return min((fc, c), (fd, d), (f(lo), lo), (f(hi), hi))
 
 
 def fit_theta(
@@ -131,44 +170,24 @@ def fit_theta(
 ) -> FitResult:
     """Recover the rms phase jitter explaining a measured squeezing level.
 
-    Minimizes the squared dB residual of the squeezed quadrature only (the
-    anti-squeezed one is nearly insensitive to jitter) over
-    theta_rms in [0, pi/4] by bounded scalar minimization against the
-    jitter-degraded prediction.
+    Inverts the jitter mix of the squeezed quadrature in closed form (the
+    anti-squeezed one is nearly insensitive to jitter); a level needing
+    more than pi/4 of jitter is clamped to pi/4.
 
     A measured level below the jitter-free floor ``predicted.r_minus``
     cannot be explained by any jitter; the result is then flagged
     ``status="infeasible"`` with the boundary value theta_rms = 0.
     """
-    degrade = _degrade_fn(use_approx)
-    target_db = measured.squeezing_db
-
-    def resid(theta: float) -> float:
-        degraded = degrade(predicted, PhaseNoiseModel(theta))
-        return (degraded.r_minus_db - target_db) ** 2
-
-    # Tolerate one dB<->linear roundtrip of rounding before declaring a
-    # measurement unexplainable by any jitter.
-    if from_db(target_db) < predicted.r_minus * (1.0 - 1e-12):
-        return FitResult(
-            theta_rms=0.0,
-            residual=resid(0.0),
-            iterations=0,
-            status="infeasible",
-        )
-
-    res = optimize.minimize_scalar(
-        resid,
-        bounds=(0.0, THETA_MAX),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    theta = min(max(float(res.x), 0.0), THETA_MAX)
-    return FitResult(
-        theta_rms=theta,
-        residual=float(res.fun),
-        iterations=int(res.nfev),
-    )
+    degrade = degrade_approx if use_approx else degrade_exact
+    target = from_db(measured.squeezing_db)
+    if _below_floor(target, predicted):
+        theta, status = 0.0, "infeasible"
+    else:
+        theta, status = _theta_from_mix(_jitter_mix(predicted, target), use_approx), "ok"
+        theta = THETA_MAX if theta is None else theta
+    degraded = degrade(predicted, PhaseNoiseModel(theta))
+    residual = (degraded.r_minus_db - measured.squeezing_db) ** 2
+    return FitResult(theta_rms=theta, residual=residual, iterations=0, status=status)
 
 
 def fit_joint(
@@ -178,66 +197,46 @@ def fit_joint(
     detuning: float,
     *,
     use_approx: bool = False,
-    max_iterations: int = 2000,
 ) -> FitResult:
     """Jointly recover (x, theta_rms) from a squeezing / anti-squeezing pair.
 
-    Minimizes the sum of squared dB residuals of both quadratures over
-    (x, theta_rms) in [0, 1) x [0, pi/4]: a coarse grid scan picks the seed
-    (ties broken toward lowest x, then lowest theta), which a Nelder-Mead
-    simplex refines.  Deterministic for fixed inputs.
+    Jitter conserves R_+ + R_-, which is strictly increasing in x: bisection
+    on the measured sum gives x, then theta_rms follows as in :func:`fit_theta`.
 
-    Raises :class:`FitConvergenceError` (carrying the best point seen) if
-    the simplex has not converged after ``max_iterations``.
+    When no point of [0, PUMP_X_MAX] x [0, pi/4] reproduces the pair, the
+    dB least-squares optimum lies on an edge of that box (x = 0 is a point
+    of the theta_rms = 0 edge); the best of a golden-section search along
+    each remaining edge is returned.  Deterministic for fixed inputs.
     """
-    degrade = _degrade_fn(use_approx)
-    sq_db = measured.squeezing_db
-    asq_db = measured.anti_squeezing_db
+    degrade = degrade_approx if use_approx else degrade_exact
+    sq_db, asq_db = measured.squeezing_db, measured.anti_squeezing_db
+    target_minus = from_db(sq_db)
+    total = target_minus + from_db(asq_db)
 
-    def resid(params) -> float:
-        x, theta = params
-        x = min(max(float(x), 0.0), PUMP_X_MAX)
-        theta = min(max(float(theta), 0.0), THETA_MAX)
-        degraded = degrade(forward_variances(alpha, rho, x, detuning), PhaseNoiseModel(theta))
+    def forward(x: float) -> QuadratureVariances:
+        return forward_variances(alpha, rho, x, detuning)
+
+    def resid(x: float, theta: float) -> float:
+        degraded = degrade(forward(x), PhaseNoiseModel(theta))
         return (degraded.r_minus_db - sq_db) ** 2 + (degraded.r_plus_db - asq_db) ** 2
 
-    # Grid scan in fixed order; np.argmin keeps the first (lowest-x, then
-    # lowest-theta) occurrence on ties.
-    grid = np.array(
-        [[resid((x, t)) for t in JOINT_THETA_GRID] for x in JOINT_X_GRID]
-    )
-    i, j = np.unravel_index(int(np.argmin(grid)), grid.shape)
-    seed = (float(JOINT_X_GRID[i]), float(JOINT_THETA_GRID[j]))
-    seed_val = float(grid[i, j])
+    steps = 0
+    top = forward(PUMP_X_MAX)
+    if 2.0 <= total <= top.r_plus + top.r_minus:
+        steps = _BISECTION_STEPS
+        lo, hi = 0.0, PUMP_X_MAX
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            R = forward(mid)
+            lo, hi = (mid, hi) if R.r_plus + R.r_minus < total else (lo, mid)
+        x = 0.5 * (lo + hi)
+        R = forward(x)
+        theta = _theta_from_mix(_jitter_mix(R, target_minus), use_approx)
+        if theta is not None and not _below_floor(target_minus, R):
+            return FitResult(theta_rms=theta, residual=resid(x, theta), iterations=steps, x=x)
 
-    res = optimize.minimize(
-        resid,
-        x0=np.array(seed),
-        method="Nelder-Mead",
-        bounds=[(0.0, PUMP_X_MAX), (0.0, THETA_MAX)],
-        options={
-            "maxiter": max_iterations,
-            "xatol": 1e-10,
-            "fatol": 1e-14,
-        },
-    )
-
-    if float(res.fun) <= seed_val:
-        x_best, theta_best, val_best = float(res.x[0]), float(res.x[1]), float(res.fun)
-    else:
-        x_best, theta_best, val_best = seed[0], seed[1], seed_val
-    x_best = min(max(x_best, 0.0), PUMP_X_MAX)
-    theta_best = min(max(theta_best, 0.0), THETA_MAX)
-
-    result = FitResult(
-        theta_rms=theta_best,
-        residual=val_best,
-        iterations=int(res.nit),
-        x=x_best,
-    )
-    if not res.success:
-        raise FitConvergenceError(
-            f"joint fit did not converge within {max_iterations} iterations",
-            best=result,
-        )
-    return result
+    r0, x0 = _golden_min(lambda x: resid(x, 0.0), 0.0, PUMP_X_MAX)
+    r1, x1 = _golden_min(lambda x: resid(x, THETA_MAX), 0.0, PUMP_X_MAX)
+    r2, t2 = _golden_min(lambda t: resid(PUMP_X_MAX, t), 0.0, THETA_MAX)
+    r, x, theta = min((r0, x0, 0.0), (r1, x1, THETA_MAX), (r2, PUMP_X_MAX, t2))
+    return FitResult(theta_rms=theta, residual=r, iterations=steps + 3 * _GOLDEN_STEPS, x=x)

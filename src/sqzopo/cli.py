@@ -2,8 +2,9 @@
 pump-power sweeps, Monte-Carlo oracle runs, and the embedded benchmark
 dataset.
 
-Exit codes: 0 success, 2 validation error, 3 infeasible fit or correction,
-4 oracle assertion failure.  Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 a `paper --check` criterion failed, 2 validation
+error, 3 infeasible fit or correction, 4 oracle assertion failure.  Reports
+go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .calibration import (
-    FitConvergenceError,
     InfeasibleCorrectionError,
     MeasuredLevels,
     dark_noise_correct,
@@ -98,6 +98,8 @@ def _sweep_threshold_mw(args: argparse.Namespace, cfg: ExperimentConfig) -> floa
         x = pump_parameter(PumpOperatingPoint.from_gain(gain))
         if x == 0.0:
             raise ConfigError("--anchor", "gain 1 carries no threshold information")
+        if not 0.0 < power_mw < math.inf:
+            raise ConfigError("--anchor", f"pump power must be finite and > 0 mW, got {power_mw}")
         return power_mw / x**2
     if cfg.pump_mode == "power" and cfg.threshold_mW is not None:
         return cfg.threshold_mW
@@ -112,7 +114,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     threshold_mw = _sweep_threshold_mw(args, cfg)
     if args.steps < 1:
         raise ConfigError("--steps", "must be >= 1")
-    if args.pmin < 0 or args.pmin > args.pmax:
+    if not 0 <= args.pmin <= args.pmax:
         raise ConfigError("--pmin/--pmax", "need 0 <= pmin <= pmax")
     if args.pmax >= threshold_mw:
         raise ConfigError(
@@ -170,19 +172,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     asq_db = derived["r_plus_db"] if args.asq_db is None else args.asq_db
     measured = MeasuredLevels(squeezing_db=args.sq_db, anti_squeezing_db=asq_db)
 
-    status = "ok"
     if args.joint:
-        try:
-            fit = fit_joint(
-                measured,
-                derived["alpha"],
-                derived["rho"],
-                derived["detuning"],
-                use_approx=args.approx,
-            )
-        except FitConvergenceError as err:
-            fit = err.best
-            status = "not_converged"
+        fit = fit_joint(
+            measured,
+            derived["alpha"],
+            derived["rho"],
+            derived["detuning"],
+            use_approx=args.approx,
+        )
         x, gain = fit.x, fit.gain
     else:
         predicted = forward_variances(
@@ -190,8 +187,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
         fit = fit_theta(measured, predicted, use_approx=args.approx)
         x, gain = derived["x"], derived["gain"]
-    if fit.status != "ok":
-        status = fit.status
 
     print(
         json.dumps(
@@ -200,12 +195,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 "x": x,
                 "gain": gain,
                 "residual_db2": fit.residual,
-                "status": status,
+                "status": fit.status,
             },
             indent=2,
         )
     )
-    return EXIT_OK if status == "ok" else EXIT_INFEASIBLE
+    return EXIT_OK if fit.status == "ok" else EXIT_INFEASIBLE
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

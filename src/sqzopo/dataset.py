@@ -14,6 +14,8 @@ import copy
 import json
 from pathlib import Path
 
+from .config import ConfigError, _number, _require
+
 REFERENCE_DATASET: dict = {
     "experiment": "946 nm PPKTP sub-threshold OPO squeezed vacuum",
     "crystals": [
@@ -110,14 +112,48 @@ REFERENCE_DATASET: dict = {
 }
 
 
+# The crystal_1 records the reproduction check reads, each mapped to
+# whether its uncertainty is read as well.
+CHECKED_RECORDS = {
+    "rho": False,
+    "alpha": False,
+    "detuning": False,
+    "gain": False,
+    "predicted_squeezing_db": False,
+    "predicted_anti_squeezing_db": False,
+    "theta_rms_deg": True,
+    "corrected_squeezing_db": False,
+    "corrected_anti_squeezing_db": False,
+    "measured_squeezing_db": False,
+    "inferred_squeezing_db": True,
+    "inferred_anti_squeezing_db": False,
+}
+
+
 def load_dataset(path: str | Path | None = None) -> dict:
     """Return a copy of the embedded dataset, or load a replacement from a
-    JSON file with the same structure."""
+    JSON file with the same structure.
+
+    A replacement must give crystal_1 every record in
+    :data:`CHECKED_RECORDS` with a finite numeric ``value`` (and
+    ``uncertainty`` where read); :class:`ConfigError` names the first
+    field that does not.
+    """
     if path is None:
         return copy.deepcopy(REFERENCE_DATASET)
     data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or "crystals" not in data:
-        raise ValueError(f"{path}: not a reference dataset (no 'crystals' key)")
+    crystals = data.get("crystals") if isinstance(data, dict) else None
+    if not isinstance(crystals, list) or not all(isinstance(c, dict) for c in crystals):
+        raise ConfigError(str(path), "not a reference dataset (no 'crystals' list)")
+    records = next((c.get("records") for c in crystals if c.get("name") == "crystal_1"), None)
+    if not isinstance(records, dict):
+        raise ConfigError("crystal_1", "missing, or without a 'records' object")
+    for name, with_uncertainty in CHECKED_RECORDS.items():
+        record = _require(records, "crystal_1", name)
+        if not isinstance(record, dict):
+            raise ConfigError(f"crystal_1.{name}", "record must be a JSON object")
+        for key in ("value", "uncertainty")[: 1 + with_uncertainty]:
+            _number(_require(record, f"crystal_1.{name}", key), f"crystal_1.{name}.{key}")
     return data
 
 

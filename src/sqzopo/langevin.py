@@ -72,10 +72,10 @@ class LangevinConfig:
                 f"unstable step: dt * gamma_total * (1 + x) / 2 = {step:.3g} "
                 f"must be < {STABILITY_LIMIT}"
             )
-        if self.duration < 100.0 / self.gamma_total:
+        if not 100.0 / self.gamma_total <= self.duration < math.inf:
             raise ValueError(
-                f"duration {self.duration:.3g} s too short; need >= 100 / "
-                f"gamma_total = {100.0 / self.gamma_total:.3g} s per segment"
+                f"duration {self.duration:.3g} s out of range; need a finite "
+                f">= 100 / gamma_total = {100.0 / self.gamma_total:.3g} s per segment"
             )
         if self.segments < MIN_SEGMENTS:
             raise ValueError(

@@ -91,16 +91,16 @@ def _normalize_pump(mode: str, value: float, threshold: float | None) -> float:
             raise ValueError(f"pump parameter x must be in [0, 1), got {x}")
         return x
     if mode == "gain":
-        if value < 1.0:
+        if not 1.0 <= value < math.inf:
             raise ValueError(
-                f"classical gain must be >= 1, got {value}; supply the "
+                f"classical gain must be finite and >= 1, got {value}; supply the "
                 "amplification gain (deamplification readings are not accepted)"
             )
         return 1.0 - 1.0 / math.sqrt(value)
     if mode == "power":
-        if threshold is None or threshold <= 0.0:
-            raise ValueError(f"threshold power must be > 0 W, got {threshold}")
-        if value < 0.0:
+        if threshold is None or not 0.0 < threshold < math.inf:
+            raise ValueError(f"threshold power must be finite and > 0 W, got {threshold}")
+        if not value >= 0.0:
             raise ValueError(f"pump power must be >= 0 W, got {value}")
         if value >= threshold:
             raise ValueError(

@@ -42,8 +42,8 @@ class PhaseNoiseModel:
     theta_rms: float
 
     def __post_init__(self) -> None:
-        if self.theta_rms < 0.0:
-            raise ValueError(f"theta_rms must be >= 0 rad, got {self.theta_rms}")
+        if not 0.0 <= self.theta_rms < math.inf:
+            raise ValueError(f"theta_rms must be finite and >= 0 rad, got {self.theta_rms}")
         if self.theta_rms > math.pi / 4:
             warnings.warn(
                 f"theta_rms = {self.theta_rms:.3f} rad exceeds pi/4; the "

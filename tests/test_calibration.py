@@ -2,7 +2,8 @@
 
 Fit expectations were frozen from independent grid searches: a 0.01-degree
 scan of the jitter range for the scalar fit, and a (1e-4 in x) x
-(0.01 degree) scan for the joint fit.
+(0.01 degree) scan for the joint fit.  The closed-form fits reproduce them
+to the digits asserted here.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ import numpy as np
 import pytest
 
 from sqzopo.calibration import (
-    JOINT_THETA_GRID,
-    JOINT_X_GRID,
-    FitConvergenceError,
     InfeasibleCorrectionError,
     MeasuredLevels,
     dark_noise_correct,
@@ -30,7 +28,7 @@ from sqzopo.model import (
     pump_parameter,
     to_db,
 )
-from sqzopo.phase_noise import PhaseNoiseModel, degrade_exact
+from sqzopo.phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
 
 BENCH_X = pump_parameter(PumpOperatingPoint.from_gain(8.83))
 # jitter-free prediction at the quoted calibrations
@@ -63,6 +61,14 @@ class TestDarkNoiseCorrect:
             dark_noise_correct(-5.6, 1.0)
         with pytest.raises(ValueError):
             dark_noise_correct(-5.6, -0.01)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("clearance", [0.0, CLEARANCE])
+    def test_non_finite_level_rejected(self, level, clearance):
+        with pytest.raises(ValueError, match="finite"):
+            dark_noise_correct(level, clearance)
+        with pytest.raises(ValueError, match="finite"):
+            dark_noise_uncorrect(level, clearance)
 
     def test_correction_direction(self):
         # below shot noise the inferred level is more squeezed, above it is
@@ -99,6 +105,9 @@ class TestMeasuredLevels:
             MeasuredLevels(squeezing_db=0.5, anti_squeezing_db=12.7)
         with pytest.raises(ValueError):
             MeasuredLevels(squeezing_db=-5.6, anti_squeezing_db=-1.0)
+        for sq, asq in ((math.nan, 12.7), (-math.inf, 12.7), (-5.6, math.nan), (-5.6, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                MeasuredLevels(squeezing_db=sq, anti_squeezing_db=asq)
 
     def test_optional_fields(self):
         levels = MeasuredLevels(-5.6, 12.7, pump_power=0.250, uncertainty_db=0.1)
@@ -112,9 +121,10 @@ class TestFitTheta:
         assert fit.status == "ok"
         # frozen from a 0.01-degree grid scan: 4.22 degrees
         assert fit.theta_rms_deg == pytest.approx(4.220796937626596, abs=0.01)
+        assert fit.theta_rms_deg == pytest.approx(4.22080, abs=1e-4)
         assert abs(fit.theta_rms_deg - 4.3) <= 0.6
         assert fit.residual < 1e-12
-        assert fit.iterations > 0
+        assert fit.iterations == 0  # closed form
         assert fit.x is None and fit.gain is None
 
     def test_measurement_at_floor_gives_zero_jitter(self):
@@ -158,6 +168,9 @@ class TestFitJoint:
         assert fit.theta_rms_deg == pytest.approx(4.39, abs=0.02)
         assert fit.gain == pytest.approx(7.96, abs=0.02)
         assert fit.residual <= 4.3482e-6
+        # the exact inversion of the pair
+        assert fit.x == pytest.approx(0.645591, abs=1e-6)
+        assert fit.theta_rms_deg == pytest.approx(4.39262, abs=1e-4)
 
     def test_self_consistency_fixed_point(self):
         # exact synthetic data is recovered to optimizer precision
@@ -179,23 +192,44 @@ class TestFitJoint:
         assert 0.0 < fit.x < 1.0
         assert 0.0 <= fit.theta_rms <= math.pi / 4
         assert fit.residual < 1e-4
+        assert fit.x == pytest.approx(0.628139, abs=1e-6)
+        assert fit.theta_rms_deg == pytest.approx(4.63725, abs=1e-4)
 
     def test_residual_optimality_over_seed_grid(self):
-        measured = MeasuredLevels(squeezing_db=-5.80, anti_squeezing_db=12.72)
-        fit = fit_joint(measured, 0.953, 0.932, 0.028)
+        # Each pair against a 100 x 33 grid over [0, 0.999] x [0, pi/4] and
+        # against the residual frozen from the earlier grid-seeded
+        # Nelder-Mead fit.  The last three pairs have no exact solution: the
+        # sum lies below 2, the squeezing below the jitter-free floor, and
+        # the anti-squeezing beyond what x < 1 reaches.
+        cases = [
+            (-5.80, 12.72, 1.0662583811632705e-18, 3.0111019778894736e-18),
+            (-3.0, 1.0, 2.234976974663874, 2.234976974663874),
+            (-9.0, 9.5, 3.5194023779918924, 3.5194023779918924),
+            (-0.5, 35.0, 19.866837376031278, 19.8668373760313),
+        ]
+        x_grid = np.linspace(0.0, 0.999, 100)
+        theta_grid = np.linspace(0.0, math.pi / 4, 33)
+        for sq, asq, *frozen in cases:
+            measured = MeasuredLevels(squeezing_db=sq, anti_squeezing_db=asq)
+            for degrade, previous in zip((degrade_exact, degrade_approx), frozen):
+                fit = fit_joint(
+                    measured, 0.953, 0.932, 0.028, use_approx=degrade is degrade_approx
+                )
 
-        def resid(x, theta):
-            d = degrade_exact(
-                forward_variances(0.953, 0.932, x, 0.028), PhaseNoiseModel(theta)
-            )
-            return (d.r_minus_db - measured.squeezing_db) ** 2 + (
-                d.r_plus_db - measured.anti_squeezing_db
-            ) ** 2
+                def resid(x, theta):
+                    d = degrade(
+                        forward_variances(0.953, 0.932, x, 0.028), PhaseNoiseModel(theta)
+                    )
+                    return (d.r_minus_db - sq) ** 2 + (d.r_plus_db - asq) ** 2
 
-        grid_best = min(
-            resid(float(x), float(t)) for x in JOINT_X_GRID for t in JOINT_THETA_GRID
-        )
-        assert fit.residual <= grid_best
+                grid_best = min(
+                    resid(float(x), float(t)) for x in x_grid for t in theta_grid
+                )
+                case = (sq, asq, degrade.__name__, fit)
+                assert fit.status == "ok", case
+                assert fit.residual <= grid_best, case
+                assert fit.residual <= previous * (1 + 1e-9) + 1e-12, case
+                assert fit.residual == pytest.approx(resid(fit.x, fit.theta_rms), abs=1e-12)
 
     def test_deterministic(self):
         measured = MeasuredLevels(squeezing_db=-5.80, anti_squeezing_db=12.72)
@@ -203,19 +237,10 @@ class TestFitJoint:
         second = fit_joint(measured, 0.953, 0.932, 0.028)
         assert first == second
 
-    def test_iteration_cap_carries_best_point(self):
-        measured = MeasuredLevels(squeezing_db=-5.80, anti_squeezing_db=12.72)
-        with pytest.raises(FitConvergenceError) as exc:
-            fit_joint(measured, 0.953, 0.932, 0.028, max_iterations=3)
-        best = exc.value.best
-        assert best.residual >= 0.0
-        assert 0.0 <= best.x < 1.0
-
     def test_synthesize_then_fit_recovers_parameters(self):
-        # scaled-down version of the acceptance property: recovery within
-        # twice the seeding-grid resolution
-        x_tol = 2.0 * (JOINT_X_GRID[1] - JOINT_X_GRID[0])
-        theta_tol = 2.0 * (JOINT_THETA_GRID[1] - JOINT_THETA_GRID[0])
+        # scaled-down version of the acceptance property: exact inversion
+        x_tol = 1e-6
+        theta_tol = 1e-6
         rng = np.random.default_rng(77)
         done = 0
         while done < 10:

@@ -85,6 +85,16 @@ class TestPredict:
         code, _, err = _run(capsys, "predict", path)
         assert code == EXIT_VALIDATION
         assert "cavity" in err
+        # json parses the NaN / Infinity literals; they must not reach a report
+        for section, key, value in (
+            ("measurement", "frequency_hz", math.inf),
+            ("noise", "theta_rms_deg", math.nan),
+            ("cavity", "T", -math.inf),
+        ):
+            path = _write_config(tmp_path, lambda raw: raw[section].update({key: value}))
+            code, out, err = _run(capsys, "predict", path, "--corrected")
+            assert code == EXIT_VALIDATION, (key, out)
+            assert f"{section}.{key}" in err
 
     def test_missing_config_exits_2(self, capsys):
         code, _, err = _run(capsys, "predict", "/nonexistent/config.json")
@@ -166,6 +176,19 @@ class TestSweep:
         )
         assert code == EXIT_VALIDATION
         assert "anchor" in err
+        for anchor in ("nan:8.83", "inf:8.83", "250:nan", "250:inf"):
+            code, out, _ = _run(
+                capsys, "sweep", CONFIG, "--pmin", "50", "--pmax", "450", "--anchor", anchor
+            )
+            assert code == EXIT_VALIDATION, (anchor, out)
+
+    def test_non_finite_arguments_exit_2(self, capsys):
+        for extra in (("--pmin", "nan"), ("--pmax", "nan"), ("--pmax", "inf"),
+                      ("--theta-deg", "nan"), ("--theta-deg", "inf")):
+            argv = {"--pmin": "50", "--pmax": "450", "--anchor": "250:8.83"}
+            argv.update([extra])
+            code, out, _ = _run(capsys, "sweep", CONFIG, *(a for kv in argv.items() for a in kv))
+            assert code == EXIT_VALIDATION, (extra, out)
 
 
 class TestCorrect:
@@ -198,6 +221,13 @@ class TestCorrect:
     def test_nonnegative_clearance_exits_2(self, capsys):
         code, _, _ = _run(capsys, "correct", "--level-db", "-5.6", "--clearance-db", "3")
         assert code == EXIT_VALIDATION
+        for level, clearance in (("nan", "-17.75"), ("inf", "-17.75"), ("nan", "-inf"),
+                                 ("-5.6", "nan")):
+            code, out, _ = _run(
+                capsys, "correct", f"--level-db={level}", f"--clearance-db={clearance}"
+            )
+            assert code == EXIT_VALIDATION, (level, clearance, out)
+            assert out == ""
 
 
 class TestFit:
@@ -236,6 +266,15 @@ class TestFit:
         code, out, _ = _run(capsys, "fit", CONFIG, "--sq-db", "-9.5")
         assert code == EXIT_INFEASIBLE
         assert json.loads(out)["status"] == "infeasible"
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_non_finite_levels_exit_2(self, capsys, joint):
+        for sq, asq in (("nan", "12.72"), ("-inf", "12.72"), ("-5.80", "nan"),
+                        ("-5.80", "inf")):
+            argv = ["fit", CONFIG, f"--sq-db={sq}", f"--asq-db={asq}"] + ["--joint"] * joint
+            code, out, err = _run(capsys, *argv)
+            assert code == EXIT_VALIDATION, (sq, asq, out)
+            assert out == "" and "finite" in err
 
 
 class TestOracle:
@@ -295,6 +334,35 @@ class TestBenchmarkDataset:
         code, out, _ = _run(capsys, "paper", "--check", "--dataset", str(path))
         assert code == EXIT_CHECK_FAILED
         assert "FAIL" in out
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda recs: recs.pop("gain"),
+            lambda recs: recs["theta_rms_deg"].pop("uncertainty"),
+            lambda recs: recs["rho"].update(value="0.932"),
+            lambda recs: recs["alpha"].update(value=math.nan),
+            lambda recs: recs.update(detuning=0.028),
+        ],
+        ids=["missing-record", "missing-uncertainty", "string-value", "nan-value",
+             "bare-number"],
+    )
+    def test_check_with_incomplete_dataset_exits_2(self, capsys, tmp_path, corrupt):
+        data = load_dataset()
+        corrupt(data["crystals"][0]["records"])
+        path = tmp_path / "incomplete.json"
+        path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, "paper", "--check", "--dataset", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == "" and "crystal_1." in err
+
+    def test_check_without_crystal_1_exits_2(self, capsys, tmp_path):
+        for data in ({"crystals": []}, {"crystals": {}}, [], {"crystals": [{"name": "crystal_1"}]}):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(data))
+            code, _, err = _run(capsys, "paper", "--check", "--dataset", str(path))
+            assert code == EXIT_VALIDATION, data
+            assert err
 
     def test_list_and_check_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -82,6 +82,16 @@ class TestValidationPaths:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(raw)
         assert exc.value.path == "cavity.T"
+        # json parses NaN and +-Infinity literals; huge integers overflow float
+        for section, key in (("cavity", "T"), ("detection", "dark_clearance_db"),
+                             ("pump", "value"), ("noise", "theta_rms_deg"),
+                             ("measurement", "frequency_hz")):
+            for value in (math.nan, math.inf, -math.inf, 10**400):
+                raw = _base_dict()
+                raw[section][key] = value
+                with pytest.raises(ConfigError) as exc:
+                    ExperimentConfig.from_dict(raw)
+                assert exc.value.path == f"{section}.{key}", value
 
     def test_unphysical_cavity(self):
         raw = _base_dict()
