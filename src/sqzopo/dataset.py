@@ -134,10 +134,12 @@ def load_dataset(path: str | Path | None = None) -> dict:
     """Return a copy of the embedded dataset, or load a replacement from a
     JSON file with the same structure.
 
-    A replacement must give crystal_1 every record in
-    :data:`CHECKED_RECORDS` with a finite numeric ``value`` (and
-    ``uncertainty`` where read); :class:`ConfigError` names the first
-    field that does not.
+    Every crystal of a replacement needs a string ``name`` and a
+    ``records`` object.  Each record needs a finite numeric ``value``, a
+    finite numeric ``uncertainty`` where one is given, and a string
+    ``anchor``.  crystal_1 must also hold every record in
+    :data:`CHECKED_RECORDS`, with an ``uncertainty`` where it is read.
+    :class:`ConfigError` names the first field that does not comply.
     """
     if path is None:
         return copy.deepcopy(REFERENCE_DATASET)
@@ -145,15 +147,28 @@ def load_dataset(path: str | Path | None = None) -> dict:
     crystals = data.get("crystals") if isinstance(data, dict) else None
     if not isinstance(crystals, list) or not all(isinstance(c, dict) for c in crystals):
         raise ConfigError(str(path), "not a reference dataset (no 'crystals' list)")
-    records = next((c.get("records") for c in crystals if c.get("name") == "crystal_1"), None)
-    if not isinstance(records, dict):
+    for i, entry in enumerate(crystals):
+        name = entry.get("name")
+        if not isinstance(name, str):
+            raise ConfigError(f"crystals[{i}].name", "expected a string")
+        if not isinstance(entry.get("records"), dict):
+            raise ConfigError(name, "missing, or without a 'records' object")
+        for key, record in entry["records"].items():
+            where = f"{name}.{key}"
+            if not isinstance(record, dict):
+                raise ConfigError(where, "record must be a JSON object")
+            _number(_require(record, where, "value"), f"{where}.value")
+            if "uncertainty" in record:
+                _number(record["uncertainty"], f"{where}.uncertainty")
+            if not isinstance(_require(record, where, "anchor"), str):
+                raise ConfigError(f"{where}.anchor", "expected a string")
+    records = next((c["records"] for c in crystals if c["name"] == "crystal_1"), None)
+    if records is None:
         raise ConfigError("crystal_1", "missing, or without a 'records' object")
     for name, with_uncertainty in CHECKED_RECORDS.items():
         record = _require(records, "crystal_1", name)
-        if not isinstance(record, dict):
-            raise ConfigError(f"crystal_1.{name}", "record must be a JSON object")
-        for key in ("value", "uncertainty")[: 1 + with_uncertainty]:
-            _number(_require(record, f"crystal_1.{name}", key), f"crystal_1.{name}.{key}")
+        if with_uncertainty:
+            _require(record, f"crystal_1.{name}", "uncertainty")
     return data
 
 

@@ -23,15 +23,16 @@ bit-identical regardless of evaluation order or concurrency.  Each port
 stream yields one row of increments per quadrature.  Segments start from
 the exact stationary distribution of the discrete update rule, so no
 burn-in transient enters the estimate.
+
+numpy and scipy are imported inside the functions that compute with them,
+so importing the package (and every subcommand but ``oracle``) loads
+neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.signal import lfilter, periodogram
 
 from .model import SPEED_OF_LIGHT, OpoCavity
 
@@ -127,6 +128,8 @@ class SpectrumPoint:
 
 
 def _segment_rng(seed: int, segment: int, stream: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(segment, stream))
     )
@@ -144,6 +147,9 @@ def simulate_output_spectrum(
     band, excluding the DC and Nyquist bins).  Means and standard errors
     are taken across segments in fixed segment order.
     """
+    import numpy as np
+    from scipy.signal import lfilter, periodogram
+
     omegas = [float(om) for om in omega_list]
     if not omegas:
         raise ValueError("at least one sideband frequency required")
@@ -209,6 +215,10 @@ def simulate_output_spectrum(
         # input-output relation and leaves the x = 0 spectrum exactly flat.
         mid = 0.5 * (state[:, :, :-1] + state[:, :, 1:])
         out = sqrt_out * mid - dw_out / cfg.dt
+        # Free the dead chunk arrays before the periodogram adds its own
+        # temporaries: the lower peak keeps the allocator from returning the
+        # memory to the OS and faulting it back in on every call.
+        del dw_out, dw_loss, drive, state, mid
 
         _, psd = periodogram(
             out, fs=fs, window="hann", detrend=False, scaling="density", axis=-1

@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from .model import QuadratureVariances
 
@@ -84,6 +83,18 @@ class QuadratureConvergenceError(RuntimeError):
     """Successive Gauss-Hermite refinements failed to agree."""
 
 
+@lru_cache(maxsize=16)
+def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for ``n`` points, computed once per
+    count; read-only, since every caller shares the cached arrays."""
+    import numpy as np
+
+    t, w = np.polynomial.hermite.hermgauss(n)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def degrade_quadrature(
     R: QuadratureVariances, model: PhaseNoiseModel, nodes: int = 64
 ) -> QuadratureVariances:
@@ -99,9 +110,10 @@ def degrade_quadrature(
         raise ValueError(f"at least 16 quadrature nodes required, got {nodes}")
     if model.theta_rms == 0.0:
         return R
+    import numpy as np
 
     def estimate(n: int) -> tuple[float, float]:
-        t, w = np.polynomial.hermite.hermgauss(n)
+        t, w = _hermgauss(n)
         theta = math.sqrt(2.0) * model.theta_rms * t
         cos2 = np.cos(theta) ** 2
         sin2 = np.sin(theta) ** 2

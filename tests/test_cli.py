@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,7 @@ from sqzopo.dataset import load_dataset
 
 CONFIG = str(cli.packaged_config_path())
 CONFIG_POWER = str(cli.packaged_config_path("paper_250mW_power.json"))
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(capsys, *argv):
@@ -364,7 +369,91 @@ class TestBenchmarkDataset:
             assert code == EXIT_VALIDATION, data
             assert err
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda recs: recs["inferred_squeezing_db"].pop("anchor"),
+            lambda recs: recs["inferred_anti_squeezing_db"].update(value="abc"),
+            lambda recs: recs["inferred_squeezing_db"].update(uncertainty=math.inf),
+        ],
+        ids=["missing-anchor", "string-value", "inf-uncertainty"],
+    )
+    def test_list_with_malformed_crystal_2_exits_2(self, capsys, tmp_path, corrupt):
+        data = load_dataset()
+        corrupt(data["crystals"][1]["records"])
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        for mode in ("--list", "--check"):
+            code, out, err = _run(capsys, "paper", mode, "--dataset", str(path))
+            assert code == EXIT_VALIDATION
+            assert out == "" and err.startswith("error: crystal_2.")
+
     def test_list_and_check_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["paper", "--list", "--check"])
         assert exc.value.code == EXIT_VALIDATION
+
+
+def _python(code: str, *args: str, module: bool = False) -> subprocess.CompletedProcess:
+    """Run ``code`` (or ``-m code``) in a fresh interpreter on the source tree."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cmd = [sys.executable, "-m" if module else "-c", code, *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+# Which of numpy and scipy the interpreter has loaded.
+_LOADED = "sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})"
+
+# Runs cli.main and prints its exit code and the loaded set as JSON.
+_GATE = f"""
+import json, sys
+from sqzopo import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, {_LOADED}]))
+"""
+
+
+class TestImportGate:
+    """Only the oracle computes with numpy and scipy, so no other
+    subcommand may load them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", CONFIG, "--corrected"],
+            ["sweep", CONFIG, "--pmin", "50", "--pmax", "450", "--steps", "9",
+             "--anchor", "250:8.83"],
+            ["correct", "--level-db", "-5.6", "--clearance-db", "-17.75"],
+            ["fit", CONFIG, "--sq-db", "-5.80"],
+            ["fit", CONFIG, "--sq-db", "-5.80", "--asq-db", "12.72", "--joint"],
+            ["paper", "--check"],
+            ["paper", "--list"],
+        ],
+        ids=["predict-corrected", "sweep-anchor", "correct", "fit", "fit-joint",
+             "paper-check", "paper-list"],
+    )
+    def test_subcommand_loads_neither(self, argv):
+        proc = _python(_GATE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, []]
+
+    def test_oracle_loads_both(self):
+        proc = _python(
+            "import sys\n"
+            "from sqzopo import *\n"
+            f"print({_LOADED})\n"
+            "simulate_output_spectrum(LangevinConfig(1.0, 0.0, 0.0, 0.01, 100.0, 0, 8), [1.0])\n"
+            f"print({_LOADED})\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "['numpy', 'scipy']"]
+
+
+@pytest.mark.parametrize("module", ["sqzopo", "sqzopo.cli"])
+def test_python_m_matches_main(capsys, module):
+    proc = _python(module, "predict", CONFIG, module=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    code, out, _ = _run(capsys, "predict", CONFIG)
+    assert code == EXIT_OK
+    assert proc.stdout == out
+    assert json.loads(proc.stdout)["gain"] == pytest.approx(8.83, rel=1e-9)

@@ -1,10 +1,17 @@
 """Property-based round trips of the inverse problems: synthesize a reading
 with the forward model and jitter mix, invert it, and get the inputs back.
+The configuration boundary gets the same treatment: a parsed configuration
+serializes back to itself, and a non-finite number in any field is rejected.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +24,8 @@ from sqzopo.calibration import (
     fit_joint,
     fit_theta,
 )
+from sqzopo.cli import EXIT_OK, EXIT_VALIDATION, main
+from sqzopo.config import ExperimentConfig
 from sqzopo.model import forward_variances
 from sqzopo.phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
 
@@ -71,3 +80,74 @@ def test_fit_theta_recovers_jitter(use_approx, point):
 def test_dark_noise_correct_undoes_uncorrect(level, clearance):
     raw = dark_noise_uncorrect(level, clearance)
     assert dark_noise_correct(raw, clearance) == pytest.approx(level, abs=1e-9)
+
+
+def _pump(mode, frac, threshold):
+    # frac in [0, 1] places the operating point within each mode's valid range.
+    if mode == "gain":
+        return {"mode": mode, "value": 1.0 + 999.0 * frac}
+    if mode == "x":
+        return {"mode": mode, "value": 0.99 * frac}
+    return {"mode": mode, "value": 0.99 * frac * threshold, "threshold_mW": threshold}
+
+
+# Valid configuration trees in every pump mode, with and without the
+# optional dark-noise clearance.
+config_tree = st.builds(
+    lambda T, L, l, zeta, eta, xi, clearance, pump, theta, f: {
+        "cavity": {"T": T, "L": L, "round_trip_m": l},
+        "detection": {"zeta": zeta, "eta": eta, "xi": xi}
+        | ({} if clearance is None else {"dark_clearance_db": clearance}),
+        "pump": pump,
+        "noise": {"theta_rms_deg": theta},
+        "measurement": {"frequency_hz": f},
+    },
+    st.floats(0.01, 0.5),
+    st.floats(0.0, 0.4),
+    st.floats(0.01, 10.0),
+    *[st.floats(0.1, 1.0)] * 3,
+    st.none() | st.floats(-40.0, -0.1),
+    st.builds(_pump, st.sampled_from(("gain", "x", "power")), st.floats(0.0, 1.0),
+              st.floats(1.0, 1000.0)),
+    st.floats(0.0, 40.0),
+    st.floats(0.0, 1e8),
+)
+
+NUMERIC_FIELDS = [
+    ("cavity", "T"), ("cavity", "L"), ("cavity", "round_trip_m"),
+    ("detection", "zeta"), ("detection", "eta"), ("detection", "xi"),
+    ("detection", "dark_clearance_db"), ("pump", "value"), ("pump", "threshold_mW"),
+    ("noise", "theta_rms_deg"), ("measurement", "frequency_hz"),
+]
+
+
+def _predict(tree: dict) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(tree))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["predict", str(path), "--corrected"])
+    return code, out.getvalue()
+
+
+@ROUND_TRIP
+@given(tree=config_tree)
+def test_config_round_trips_through_to_dict(tree):
+    cfg = ExperimentConfig.from_dict(tree)
+    assert cfg.to_dict() == tree
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@ROUND_TRIP
+@given(
+    tree=config_tree,
+    field=st.sampled_from(NUMERIC_FIELDS),
+    bad=st.sampled_from((math.nan, math.inf, -math.inf)),
+)
+def test_non_finite_config_field_exits_2(tree, field, bad):
+    assert _predict(tree)[0] == EXIT_OK
+    section, key = field
+    tree[section][key] = bad
+    assert _predict(tree) == (EXIT_VALIDATION, "")
