@@ -16,6 +16,11 @@ and estimates its noise spectrum from segment-averaged Hann periodograms.
 Spectra are normalized so that an unpumped cavity (x = 0) gives exactly the
 shot-noise level 1 at every frequency.
 
+Nothing is stepped sample by sample: the update, the output and the window
+are linear in the noise, so each Hann bin is exact in closed form from raw
+DFT bins of the draws (the periodic Hann window is three complex
+exponentials; Harris 1978, Proc. IEEE 66, 51) and one geometric tail sum.
+
 Determinism: every segment draws its noise from generators seeded by
 (seed, segment index, stream index) with fixed stream indices 0 (output
 port), 1 (loss port) and 2 (initial intracavity state), so results are
@@ -24,14 +29,14 @@ stream yields one row of increments per quadrature.  Segments start from
 the exact stationary distribution of the discrete update rule, so no
 burn-in transient enters the estimate.
 
-numpy and scipy are imported inside the functions that compute with them,
-so importing the package (and every subcommand but ``oracle``) loads
-neither.
+numpy is imported inside the functions that compute with it, so importing
+the package (and every subcommand but ``oracle``) does not load it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .model import SPEED_OF_LIGHT, OpoCavity
@@ -147,84 +152,79 @@ def simulate_output_spectrum(
     band, excluding the DC and Nyquist bins).  Means and standard errors
     are taken across segments in fixed segment order.
     """
-    import numpy as np
-    from scipy.signal import lfilter, periodogram
-
     omegas = [float(om) for om in omega_list]
     if not omegas:
         raise ValueError("at least one sideband frequency required")
     n_steps = int(round(cfg.duration / cfg.dt))
-    fs = 1.0 / cfg.dt
     for om in omegas:
         if om < 0.0:
             raise ValueError(f"sideband frequency must be >= 0, got {om}")
-        if om / (2.0 * math.pi) >= fs / 2.0:
+        if om / (2.0 * math.pi) >= 0.5 / cfg.dt:
             raise ValueError(
                 f"sideband frequency {om:.3g} rad/s exceeds the Nyquist "
                 f"band of dt = {cfg.dt:.3g} s"
             )
+    # A chunk holds one port's draws (16 bytes a step) and their rfft (16);
+    # the per-segment estimates take 16 bytes a frequency.
+    chunk = min(cfg.segments, _SEGMENT_CHUNK)
+    needed = 32 * chunk * n_steps + 16 * cfg.segments * len(omegas)
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > available:
+        raise ValueError(f"{cfg.segments} segments of {n_steps} steps need {needed} bytes "
+                         f"of working memory; this machine has {available} bytes")
 
-    freqs = np.fft.rfftfreq(n_steps, d=cfg.dt)
-    df = float(freqs[1])
-    f_req = np.clip(np.array(omegas) / (2.0 * math.pi), freqs[1], freqs[-2])
-    idx = np.clip((f_req / df).astype(int), 1, len(freqs) - 3)
+    import numpy as np
+
+    df = 1.0 / (n_steps * cfg.dt)
+    top = n_steps // 2 - 1  # highest bin below Nyquist
+    f_req = np.clip(np.array(omegas) / (2.0 * math.pi), df, top * df)
+    idx = np.clip((f_req / df).astype(int), 1, top - 1)
     frac = f_req / df - idx
+    # The Hann bins idx and idx + 1 combine the raw DFT bins idx - 1 .. idx + 2.
+    bins = idx[:, None] + np.arange(-1, 3)
 
     # Per-quadrature drift rates: the anti-squeezed (+) quadrature relaxes
-    # slowly at gamma (1 - x) / 2, the squeezed (-) one fast at
-    # gamma (1 + x) / 2.
-    decay = np.array(
-        [
-            cfg.gamma_total * (1.0 - cfg.x) / 2.0,
-            cfg.gamma_total * (1.0 + cfg.x) / 2.0,
-        ]
-    )
+    # slowly at gamma (1 - x) / 2, the squeezed (-) one fast at gamma (1 + x) / 2.
+    decay = cfg.gamma_total * np.array([1.0 - cfg.x, 1.0 + cfg.x]) / 2.0
     pole = 1.0 - decay * cfg.dt
-    # Exact stationary std of the discrete update, used to start segments
-    # in steady state.
+    # Exact stationary std of the discrete update, to start in steady state.
     x0_std = np.sqrt(cfg.gamma_total * cfg.dt / (1.0 - pole**2))
-    sqrt_dt = math.sqrt(cfg.dt)
-    sqrt_out = math.sqrt(cfg.gamma_out)
-    sqrt_loss = math.sqrt(cfg.gamma_loss)
+    sqrt_dt, sqrt_out, sqrt_loss = map(math.sqrt, (cfg.dt, cfg.gamma_out, cfg.gamma_loss))
+
+    # For the update s[k+1] = p s[k] + d[k] and z = exp(-2 pi i r / n), the
+    # DFT of the midpoints (s[k] + s[k+1]) / 2 at bin r is
+    # (1 + z) / (2 (1 - p z)) (D_r + p s[0] - p s[n]) plus a term constant
+    # in r, which the zero-sum Hann weights (1/2, -1/4, -1/4) cancel.  The end
+    # state enters as p s[n] = p^(n+1) s[0] + sum_k p^(n-k) d[k].
+    z = np.exp(-2j * math.pi * bins / n_steps)
+    transfer = 0.5 * (1.0 + z) / (1.0 - pole[:, None, None] * z)
+    tail = pole[:, None] ** np.arange(n_steps, 0, -1)
+    x0_gain = x0_std * pole * (1.0 - pole**n_steps)
+    # Hann density, sum(w**2) = 3 n / 8, over unit shot noise's one-sided 2.
+    scale = cfg.dt / (3.0 * n_steps / 8.0)
 
     values = np.empty((cfg.segments, 2, len(omegas)))
+    noise = np.empty((chunk, 2, n_steps))
     for start in range(0, cfg.segments, _SEGMENT_CHUNK):
         segs = range(start, min(start + _SEGMENT_CHUNK, cfg.segments))
         m = len(segs)
-        dw_out = np.empty((m, 2, n_steps))
-        dw_loss = np.empty((m, 2, n_steps))
-        x0 = np.empty((m, 2))
-        for row, seg in enumerate(segs):
-            dw_out[row] = _segment_rng(cfg.seed, seg, 0).standard_normal((2, n_steps))
-            dw_loss[row] = _segment_rng(cfg.seed, seg, 1).standard_normal((2, n_steps))
-            x0[row] = _segment_rng(cfg.seed, seg, 2).standard_normal(2)
-        dw_out *= sqrt_dt
-        dw_loss *= sqrt_dt
-        x0 *= x0_std
-
-        drive = sqrt_out * dw_out + sqrt_loss * dw_loss
-        state = np.empty((m, 2, n_steps + 1))
-        state[:, :, 0] = x0
-        for q in (0, 1):
-            zi = (pole[q] * x0[:, q])[:, None]
-            state[:, q, 1:], _ = lfilter(
-                [1.0], [1.0, -pole[q]], drive[:, q, :], axis=-1, zi=zi
-            )
+        port_bins, port_tails = [], []
+        for stream in (0, 1):  # output port, then loss port
+            for row, seg in enumerate(segs):
+                _segment_rng(cfg.seed, seg, stream).standard_normal(out=noise[row])
+            port_bins.append(np.fft.rfft(noise[:m])[..., bins])
+            port_tails.append(np.einsum("sqk,qk->sq", noise[:m], tail))
+        xi = np.array([_segment_rng(cfg.seed, seg, 2).standard_normal(2) for seg in segs])
+        (u_bins, v_bins), (u_tail, v_tail) = port_bins, port_tails
+        drive = sqrt_dt * (sqrt_out * u_bins + sqrt_loss * v_bins)
+        ends = xi * x0_gain - sqrt_dt * (sqrt_out * u_tail + sqrt_loss * v_tail)
         # Output sampled at step midpoints: with the Ito update above this
         # reproduces the symmetric field/input correlation of the
         # input-output relation and leaves the x = 0 spectrum exactly flat.
-        mid = 0.5 * (state[:, :, :-1] + state[:, :, 1:])
-        out = sqrt_out * mid - dw_out / cfg.dt
-        # Free the dead chunk arrays before the periodogram adds its own
-        # temporaries: the lower peak keeps the allocator from returning the
-        # memory to the OS and faulting it back in on every call.
-        del dw_out, dw_loss, drive, state, mid
-
-        _, psd = periodogram(
-            out, fs=fs, window="hann", detrend=False, scaling="density", axis=-1
-        )
-        psd /= 2.0  # one-sided density of unit shot noise is 2 in these units
-        values[start : start + m] = psd[:, :, idx] * (1.0 - frac) + psd[:, :, idx + 1] * frac
+        out = sqrt_out * transfer * (drive + ends[:, :, None, None]) - u_bins / sqrt_dt
+        hann = 0.5 * out[..., 1:3] - 0.25 * (out[..., :2] + out[..., 2:])
+        psd = scale * (hann.real**2 + hann.imag**2)
+        values[start : start + m] = psd[..., 0] * (1.0 - frac) + psd[..., 1] * frac
 
     mean = values.mean(axis=0)
     stderr = values.std(axis=0, ddof=1) / math.sqrt(cfg.segments)

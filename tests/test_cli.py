@@ -314,6 +314,14 @@ class TestOracle:
         assert code == EXIT_ORACLE_MISMATCH
         assert "mismatch" in err
 
+    def test_run_larger_than_memory_exits_2(self, capsys):
+        # about 5e9 steps per segment; rejected before anything is allocated
+        code, out, err = _run(capsys, "oracle", CONFIG, "--duration", "1")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "bytes of working memory" in err
+
 
 class TestBenchmarkDataset:
     def test_list_shows_two_crystals(self, capsys):
@@ -414,8 +422,8 @@ print(json.dumps([code, {_LOADED}]))
 
 
 class TestImportGate:
-    """Only the oracle computes with numpy and scipy, so no other
-    subcommand may load them."""
+    """Only the oracle computes with numpy, so no other subcommand may load
+    it, and nothing loads scipy."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -437,7 +445,12 @@ class TestImportGate:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, []]
 
-    def test_oracle_loads_both(self):
+    def test_oracle_subcommand_loads_numpy_only(self):
+        proc = _python(_GATE, "oracle", CONFIG, "--segments", "8")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, ["numpy"]]
+
+    def test_oracle_loads_numpy_only(self):
         proc = _python(
             "import sys\n"
             "from sqzopo import *\n"
@@ -446,7 +459,7 @@ class TestImportGate:
             f"print({_LOADED})\n"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "['numpy', 'scipy']"]
+        assert proc.stdout.splitlines() == ["[]", "['numpy']"]
 
 
 @pytest.mark.parametrize("module", ["sqzopo", "sqzopo.cli"])

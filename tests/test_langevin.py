@@ -1,4 +1,5 @@
-"""Monte-Carlo spectrum oracle: determinism, normalization, physics checks.
+"""Monte-Carlo spectrum oracle: determinism, normalization, physics checks,
+and exactness against a step-by-step reference estimator.
 
 All runs are fixed-seed, so every assertion is reproducible bit for bit.
 Statistical checks compare against the closed-form spectrum at three
@@ -75,6 +76,15 @@ class TestConfigValidation:
         cfg = _config(0.0, seed=1, segments=8, steps=4096)
         with pytest.raises(ValueError):
             simulate_output_spectrum(cfg, [-1.0])
+
+    @pytest.mark.parametrize(
+        "steps, segments", [(10**13, 8), (4096, 10**13)], ids=["duration", "segments"]
+    )
+    def test_run_larger_than_memory_rejected(self, steps, segments):
+        # rejected before anything is allocated
+        cfg = _config(0.5, seed=1, segments=segments, steps=steps)
+        with pytest.raises(ValueError, match="bytes of working memory"):
+            simulate_output_spectrum(cfg, [0.1 * GAMMA])
 
 
 class TestDeterminism:
@@ -155,3 +165,56 @@ class TestPhysics:
             small.stderr_minus / large.stderr_minus,
         ):
             assert 2.0 / 1.5 <= ratio <= 2.0 * 1.5
+
+
+def _brute_force_spectrum(cfg, omegas):
+    """The estimator written out step by step: Euler update, midpoint
+    output, full FFT of the Hann-windowed output, interpolated bins."""
+    n = int(round(cfg.duration / cfg.dt))
+
+    def draw(seg, stream, shape):
+        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(seg, stream))
+        return np.random.default_rng(seq).standard_normal(shape)
+
+    segs = range(cfg.segments)
+    u = np.array([draw(seg, 0, (2, n)) for seg in segs])
+    v = np.array([draw(seg, 1, (2, n)) for seg in segs])
+    pole = 1.0 - cfg.gamma_total * np.array([1.0 - cfg.x, 1.0 + cfg.x]) / 2.0 * cfg.dt
+    state = np.array([draw(seg, 2, 2) for seg in segs])
+    state *= np.sqrt(cfg.gamma_total * cfg.dt / (1.0 - pole**2))
+    drive = math.sqrt(cfg.dt) * (math.sqrt(cfg.gamma_out) * u + math.sqrt(cfg.gamma_loss) * v)
+    out = np.empty_like(u)
+    for k in range(n):
+        nxt = pole * state + drive[:, :, k]
+        out[:, :, k] = math.sqrt(cfg.gamma_out) * (state + nxt) / 2.0 - u[:, :, k] / math.sqrt(cfg.dt)
+        state = nxt
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    # two-sided density of the windowed output; shot noise reads 1
+    psd = np.abs(np.fft.fft(out * window)) ** 2 * cfg.dt / np.sum(window**2)
+    df = 1.0 / (n * cfg.dt)
+    top = n // 2 - 1
+    values = []
+    for om in omegas:
+        f = min(max(om / (2.0 * math.pi), df), top * df)
+        i = min(max(int(f / df), 1), top - 1)
+        frac = f / df - i
+        values.append(psd[:, :, i] * (1.0 - frac) + psd[:, :, i + 1] * frac)
+    values = np.stack(values, axis=-1)
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(cfg.segments)
+
+
+class TestExactness:
+    @pytest.mark.parametrize("steps", [4096, 2101])
+    @pytest.mark.parametrize("x", [0.0, 0.5, 0.66])
+    @pytest.mark.parametrize("gamma_loss_scale", [1.0, 0.0])
+    def test_matches_step_by_step_estimator(self, steps, x, gamma_loss_scale):
+        # 40 segments span two chunks; omega = 0 clamps to bin 1 and the
+        # last request to the highest bin below Nyquist
+        cfg = _config(x, seed=9, segments=40, steps=steps, gamma_loss_scale=gamma_loss_scale)
+        omegas = [0.0, 0.03 * GAMMA, 0.3 * GAMMA, 0.4999 * 2.0 * math.pi / cfg.dt]
+        mean, stderr = _brute_force_spectrum(cfg, omegas)
+        for j, pt in enumerate(simulate_output_spectrum(cfg, omegas)):
+            assert pt.r_plus == pytest.approx(mean[0, j], rel=1e-10, abs=0)
+            assert pt.r_minus == pytest.approx(mean[1, j], rel=1e-10, abs=0)
+            assert pt.stderr_plus == pytest.approx(stderr[0, j], rel=1e-10, abs=0)
+            assert pt.stderr_minus == pytest.approx(stderr[1, j], rel=1e-10, abs=0)

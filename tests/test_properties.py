@@ -2,6 +2,7 @@
 with the forward model and jitter mix, invert it, and get the inputs back.
 The configuration boundary gets the same treatment: a parsed configuration
 serializes back to itself, and a non-finite number in any field is rejected.
+A one-step sweep at a configuration's own pump power reproduces predict.
 """
 
 from __future__ import annotations
@@ -113,6 +114,13 @@ config_tree = st.builds(
     st.floats(0.0, 1e8),
 )
 
+# The same trees with a power-mode pump, which carries its own threshold.
+power_config_tree = st.builds(
+    lambda tree, pump: tree | {"pump": pump},
+    config_tree,
+    st.builds(_pump, st.just("power"), st.floats(0.0, 1.0), st.floats(1.0, 1000.0)),
+)
+
 NUMERIC_FIELDS = [
     ("cavity", "T"), ("cavity", "L"), ("cavity", "round_trip_m"),
     ("detection", "zeta"), ("detection", "eta"), ("detection", "xi"),
@@ -121,14 +129,19 @@ NUMERIC_FIELDS = [
 ]
 
 
-def _predict(tree: dict) -> tuple[int, str]:
+def _cli(tree: dict, command: str, *args: str) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(tree))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["predict", str(path), "--corrected"])
+            code = main([command, str(path), *args])
     return code, out.getvalue()
+
+
+def _csv_row(text: str) -> dict[str, float]:
+    header, row = text.splitlines()
+    return dict(zip(header.split(","), map(float, row.split(","))))
 
 
 @ROUND_TRIP
@@ -147,7 +160,26 @@ def test_config_round_trips_through_to_dict(tree):
     bad=st.sampled_from((math.nan, math.inf, -math.inf)),
 )
 def test_non_finite_config_field_exits_2(tree, field, bad):
-    assert _predict(tree)[0] == EXIT_OK
+    assert _cli(tree, "predict", "--corrected")[0] == EXIT_OK
     section, key = field
     tree[section][key] = bad
-    assert _predict(tree) == (EXIT_VALIDATION, "")
+    assert _cli(tree, "predict", "--corrected") == (EXIT_VALIDATION, "")
+
+
+@ROUND_TRIP
+@given(tree=power_config_tree)
+def test_one_step_sweep_matches_predict(tree):
+    # Both commands print 6 significant digits, so they must agree digit for
+    # digit: sweep at the config's own pump power is predict --corrected.
+    power = repr(tree["pump"]["value"])
+    code, sweep = _cli(tree, "sweep", "--pmin", power, "--pmax", power, "--steps", "1")
+    assert code == EXIT_OK
+    code, predict = _cli(tree, "predict", "--corrected", "--format", "csv")
+    assert code == EXIT_OK
+    row, report = _csv_row(sweep), _csv_row(predict)
+    for column, key in (
+        ("x", "x"), ("G", "gain"), ("R_plus", "r_plus"), ("R_minus", "r_minus"),
+        ("R_plus_dB", "r_plus_db"), ("R_minus_dB", "r_minus_db"),
+        ("Rp_corr_dB", "r_plus_corrected_db"), ("Rm_corr_dB", "r_minus_corrected_db"),
+    ):
+        assert row[column] == pytest.approx(report[key], rel=1e-9), column
