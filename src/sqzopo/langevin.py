@@ -23,8 +23,10 @@ exponentials; Harris 1978, Proc. IEEE 66, 51) and one geometric tail sum.
 
 Determinism: every segment draws its noise from generators seeded by
 (seed, segment index, stream index) with fixed stream indices 0 (output
-port), 1 (loss port) and 2 (initial intracavity state), so results are
-bit-identical regardless of evaluation order or concurrency.  Each port
+port), 1 (loss port) and 2 (initial intracavity state), and each
+segment's estimate is stored by its index.  Segments run on one thread per
+CPU the process may use (numpy's draws, FFTs and sums release the GIL),
+and the results are bit-identical whatever the thread count.  Each port
 stream yields one row of increments per quadrature.  Segments start from
 the exact stationary distribution of the discrete update rule, so no
 burn-in transient enters the estimate.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 from .model import SPEED_OF_LIGHT, OpoCavity
@@ -47,7 +50,7 @@ STABILITY_LIMIT = 0.1
 
 MIN_SEGMENTS = 8
 
-_SEGMENT_CHUNK = 32
+_BLOCK = 4  # segments a worker draws and transforms at once
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,18 @@ class LangevinConfig:
     segments: int
 
     def __post_init__(self) -> None:
-        if self.gamma_out <= 0.0:
-            raise ValueError(f"gamma_out must be > 0, got {self.gamma_out}")
-        if self.gamma_loss < 0.0:
-            raise ValueError(f"gamma_loss must be >= 0, got {self.gamma_loss}")
+        if not 0.0 < self.gamma_out < math.inf:
+            raise ValueError(f"gamma_out must be finite and > 0, got {self.gamma_out}")
+        if not 0.0 <= self.gamma_loss < math.inf:
+            raise ValueError(f"gamma_loss must be finite and >= 0, got {self.gamma_loss}")
         if not 0.0 <= self.x < 1.0:
             raise ValueError(f"pump parameter x must be in [0, 1), got {self.x}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        for name in ("seed", "segments"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
         step = self.dt * self.gamma_total * (1.0 + self.x) / 2.0
         if step >= STABILITY_LIMIT:
             raise ValueError(
@@ -164,10 +171,11 @@ def simulate_output_spectrum(
                 f"sideband frequency {om:.3g} rad/s exceeds the Nyquist "
                 f"band of dt = {cfg.dt:.3g} s"
             )
-    # A chunk holds one port's draws (16 bytes a step) and their rfft (16);
-    # the per-segment estimates take 16 bytes a frequency.
-    chunk = min(cfg.segments, _SEGMENT_CHUNK)
-    needed = 32 * chunk * n_steps + 16 * cfg.segments * len(omegas)
+    # One worker per usable CPU holds one block of one port's draws (16 bytes
+    # a step a segment) and their rfft (16); estimates take 16 a frequency.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, -(-cfg.segments // _BLOCK))
+    needed = 32 * workers * _BLOCK * n_steps + 16 * cfg.segments * len(omegas)
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > available:
         raise ValueError(f"{cfg.segments} segments of {n_steps} steps need {needed} bytes "
@@ -204,27 +212,44 @@ def simulate_output_spectrum(
     scale = cfg.dt / (3.0 * n_steps / 8.0)
 
     values = np.empty((cfg.segments, 2, len(omegas)))
-    noise = np.empty((chunk, 2, n_steps))
-    for start in range(0, cfg.segments, _SEGMENT_CHUNK):
-        segs = range(start, min(start + _SEGMENT_CHUNK, cfg.segments))
-        m = len(segs)
-        port_bins, port_tails = [], []
-        for stream in (0, 1):  # output port, then loss port
-            for row, seg in enumerate(segs):
-                _segment_rng(cfg.seed, seg, stream).standard_normal(out=noise[row])
-            port_bins.append(np.fft.rfft(noise[:m])[..., bins])
-            port_tails.append(np.einsum("sqk,qk->sq", noise[:m], tail))
-        xi = np.array([_segment_rng(cfg.seed, seg, 2).standard_normal(2) for seg in segs])
-        (u_bins, v_bins), (u_tail, v_tail) = port_bins, port_tails
-        drive = sqrt_dt * (sqrt_out * u_bins + sqrt_loss * v_bins)
-        ends = xi * x0_gain - sqrt_dt * (sqrt_out * u_tail + sqrt_loss * v_tail)
-        # Output sampled at step midpoints: with the Ito update above this
-        # reproduces the symmetric field/input correlation of the
-        # input-output relation and leaves the x = 0 spectrum exactly flat.
-        out = sqrt_out * transfer * (drive + ends[:, :, None, None]) - u_bins / sqrt_dt
-        hann = 0.5 * out[..., 1:3] - 0.25 * (out[..., :2] + out[..., 2:])
-        psd = scale * (hann.real**2 + hann.imag**2)
-        values[start : start + m] = psd[..., 0] * (1.0 - frac) + psd[..., 1] * frac
+
+    errors: list[BaseException] = []
+
+    def run(worker: int) -> None:
+        try:
+            noise = np.empty((_BLOCK, 2, n_steps))
+            for start in range(worker * _BLOCK, cfg.segments, workers * _BLOCK):
+                segs = range(start, min(start + _BLOCK, cfg.segments))
+                m = len(segs)
+                port_bins, port_tails = [], []
+                for stream in (0, 1):  # output port, then loss port
+                    for row, seg in enumerate(segs):
+                        _segment_rng(cfg.seed, seg, stream).standard_normal(out=noise[row])
+                    port_bins.append(np.fft.rfft(noise[:m])[..., bins])
+                    port_tails.append(np.einsum("sqk,qk->sq", noise[:m], tail))
+                xi = np.array([_segment_rng(cfg.seed, seg, 2).standard_normal(2) for seg in segs])
+                (u_bins, v_bins), (u_tail, v_tail) = port_bins, port_tails
+                drive = sqrt_dt * (sqrt_out * u_bins + sqrt_loss * v_bins)
+                ends = xi * x0_gain - sqrt_dt * (sqrt_out * u_tail + sqrt_loss * v_tail)
+                # Output sampled at step midpoints: with the Ito update above this
+                # reproduces the symmetric field/input correlation of the
+                # input-output relation and leaves the x = 0 spectrum exactly flat.
+                out = sqrt_out * transfer * (drive + ends[:, :, None, None]) - u_bins / sqrt_dt
+                hann = 0.5 * out[..., 1:3] - 0.25 * (out[..., :2] + out[..., 2:])
+                psd = scale * (hann.real**2 + hann.imag**2)
+                values[start : start + m] = psd[..., 0] * (1.0 - frac) + psd[..., 1] * frac
+        except BaseException as exc:  # re-raised once every worker has stopped
+            errors.append(exc)
+
+    # The caller is worker 0; with one worker no thread is started.
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
     mean = values.mean(axis=0)
     stderr = values.std(axis=0, ddof=1) / math.sqrt(cfg.segments)

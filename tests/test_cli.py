@@ -409,8 +409,8 @@ def _python(code: str, *args: str, module: bool = False) -> subprocess.Completed
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
 
 
-# Which of numpy and scipy the interpreter has loaded.
-_LOADED = "sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})"
+# Which of numpy, scipy and concurrent.futures the interpreter has loaded.
+_LOADED = "[m for m in ('concurrent.futures', 'numpy', 'scipy') if m in sys.modules]"
 
 # Runs cli.main and prints its exit code and the loaded set as JSON.
 _GATE = f"""
@@ -423,7 +423,8 @@ print(json.dumps([code, {_LOADED}]))
 
 class TestImportGate:
     """Only the oracle computes with numpy, so no other subcommand may load
-    it, and nothing loads scipy."""
+    it; nothing loads scipy, and the oracle's threads need no
+    concurrent.futures."""
 
     @pytest.mark.parametrize(
         "argv",

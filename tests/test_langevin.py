@@ -9,10 +9,13 @@ standard errors.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from sqzopo import langevin
 from sqzopo.langevin import LangevinConfig, simulate_output_spectrum
 from sqzopo.model import OpoCavity, cavity_decay_rate, forward_variances
 
@@ -59,6 +62,17 @@ class TestConfigValidation:
     def test_pump_range(self):
         with pytest.raises(ValueError):
             _config(1.0, seed=1, segments=8, steps=4096)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("gamma_out", "gamma_loss", "dt") for v in (math.nan, math.inf, -math.inf)]
+        + [(f, v) for f in ("seed", "segments") for v in (8.5, 8.0, "8", True, -1)],
+    )
+    def test_non_finite_or_non_count_field_rejected(self, field, value):
+        kwargs = dict(gamma_out=GAMMA, gamma_loss=0.0, x=0.0, dt=0.01 / GAMMA,
+                      duration=200.0 / GAMMA, seed=1, segments=8)
+        with pytest.raises(ValueError, match=field):
+            LangevinConfig(**{**kwargs, field: value})
 
     def test_rates_from_cavity_match_decay_rate(self):
         cfg = LangevinConfig.from_cavity(
@@ -107,6 +121,44 @@ class TestDeterminism:
         assert pt.segments == 16
         assert pt.seed == 5
         assert pt.bin_spacing_hz == pytest.approx(1.0 / (2048 * cfg.dt), rel=1e-9)
+
+
+class TestConcurrency:
+    """Segments run in blocks of four, spread over one thread per CPU."""
+
+    @pytest.mark.parametrize("steps", [4096, 2101])
+    @pytest.mark.parametrize("segments", [8, 9, 41])
+    @pytest.mark.parametrize("x", [0.0, 0.66])
+    def test_bit_identical_across_cpu_counts(self, monkeypatch, steps, segments, x):
+        # 9 and 41 segments end in a ragged block of one
+        cfg = _config(x, seed=13, segments=segments, steps=steps)
+        omegas = [0.0, 0.03 * GAMMA, 0.3 * GAMMA]
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+        try:
+            for cpus in (1, 2, 3, 5):
+                monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+                runs.append(simulate_output_spectrum(cfg, omegas))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        # with two workers, segment 5 lies in worker 1's first block
+        real = langevin._segment_rng
+
+        def failing(seed, segment, stream):
+            if segment == 5:
+                raise RuntimeError("draw failed for segment 5")
+            return real(seed, segment, stream)
+
+        monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(langevin, "_segment_rng", failing)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="segment 5"):
+            simulate_output_spectrum(_config(0.5, seed=1, segments=16, steps=2048), [0.1 * GAMMA])
+        assert threading.active_count() == threads_before
 
 
 class TestPhysics:
