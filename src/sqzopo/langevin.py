@@ -24,9 +24,10 @@ exponentials; Harris 1978, Proc. IEEE 66, 51) and one geometric tail sum.
 Determinism: every segment draws its noise from generators seeded by
 (seed, segment index, stream index) with fixed stream indices 0 (output
 port), 1 (loss port) and 2 (initial intracavity state), and each
-segment's estimate is stored by its index.  Segments run on one thread per
-CPU the process may use (numpy's draws, FFTs and sums release the GIL),
-and the results are bit-identical whatever the thread count.  Each port
+segment's estimate is stored by its index.  Segments run in blocks on one
+thread per CPU the process may use, each bound to its own CPU and taking
+the next free block (numpy's draws, FFTs and sums release the GIL), and
+the results are bit-identical whatever the thread count.  Each port
 stream yields one row of increments per quadrature.  Segments start from
 the exact stationary distribution of the discrete update rule, so no
 burn-in transient enters the estimate.
@@ -37,6 +38,7 @@ the package (and every subcommand but ``oracle``) does not load it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -173,8 +175,9 @@ def simulate_output_spectrum(
             )
     # One worker per usable CPU holds one block of one port's draws (16 bytes
     # a step a segment) and their rfft (16); estimates take 16 a frequency.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, -(-cfg.segments // _BLOCK))
+    pinnable = hasattr(os, "sched_setaffinity")
+    cpus = sorted(os.sched_getaffinity(0)) if pinnable else [None] * (os.cpu_count() or 1)
+    workers = min(len(cpus), -(-cfg.segments // _BLOCK))
     needed = 32 * workers * _BLOCK * n_steps + 16 * cfg.segments * len(omegas)
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > available:
@@ -214,11 +217,17 @@ def simulate_output_spectrum(
     values = np.empty((cfg.segments, 2, len(omegas)))
 
     errors: list[BaseException] = []
+    blocks = iter(range(0, cfg.segments, _BLOCK))  # shared: a free worker takes the next
 
-    def run(worker: int) -> None:
+    def run(cpu: int | None) -> None:
         try:
+            if cpu is not None:
+                with contextlib.suppress(OSError):  # placement only, never results
+                    os.sched_setaffinity(0, {cpu})
             noise = np.empty((_BLOCK, 2, n_steps))
-            for start in range(worker * _BLOCK, cfg.segments, workers * _BLOCK):
+            for start in blocks:
+                if errors:
+                    return
                 segs = range(start, min(start + _BLOCK, cfg.segments))
                 m = len(segs)
                 port_bins, port_tails = [], []
@@ -241,13 +250,18 @@ def simulate_output_spectrum(
         except BaseException as exc:  # re-raised once every worker has stopped
             errors.append(exc)
 
-    # The caller is worker 0; with one worker no thread is started.
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
+    # One worker runs in the caller.  Several each get a thread bound to its
+    # own CPU: unbound, the kernel at times ran both workers on one CPU of two
+    # for whole calls while the other idled, at serial speed.  The caller only
+    # waits on them, so its own CPU affinity is never changed.
+    if workers == 1:
+        run(None)
+    else:
+        threads = [threading.Thread(target=run, args=(cpu,)) for cpu in cpus[:workers]]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     if errors:
         raise errors[0]
 

@@ -124,7 +124,8 @@ class TestDeterminism:
 
 
 class TestConcurrency:
-    """Segments run in blocks of four, spread over one thread per CPU."""
+    """Segments run in blocks of four; each CPU's thread, bound to that CPU,
+    takes the next block left when it finishes one."""
 
     @pytest.mark.parametrize("steps", [4096, 2101])
     @pytest.mark.parametrize("segments", [8, 9, 41])
@@ -145,7 +146,7 @@ class TestConcurrency:
         assert all(run == runs[0] for run in runs[1:])
 
     def test_worker_error_reaches_caller(self, monkeypatch):
-        # with two workers, segment 5 lies in worker 1's first block
+        # segment 5 lies in the second block, which one of two workers takes
         real = langevin._segment_rng
 
         def failing(seed, segment, stream):
@@ -159,6 +160,37 @@ class TestConcurrency:
         with pytest.raises(RuntimeError, match="segment 5"):
             simulate_output_spectrum(_config(0.5, seed=1, segments=16, steps=2048), [0.1 * GAMMA])
         assert threading.active_count() == threads_before
+
+    def test_error_stops_the_other_workers(self, monkeypatch):
+        drawn = set()
+        real = langevin._segment_rng
+
+        def failing(seed, segment, stream):
+            drawn.add(segment)
+            if segment == 0:
+                raise RuntimeError("draw failed for segment 0")
+            return real(seed, segment, stream)
+
+        monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(langevin, "_segment_rng", failing)
+        with pytest.raises(RuntimeError, match="segment 0"):
+            simulate_output_spectrum(_config(0.5, seed=1, segments=256, steps=32768), [0.1 * GAMMA])
+        assert len(drawn) < 128  # without the stop, 253: all but segments 1-3
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}, {0, 1, 2}])
+    def test_each_worker_thread_bound_to_its_own_cpu(self, monkeypatch, cpus):
+        bound = []
+        monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(
+            langevin.os, "sched_setaffinity",
+            lambda pid, mask: bound.append((threading.current_thread(), set(mask))),
+        )
+        simulate_output_spectrum(_config(0.5, seed=1, segments=16, steps=2048), [0.1 * GAMMA])
+        # one CPU runs in the caller unbound; the caller's affinity is never set
+        expected = [] if len(cpus) == 1 else [{cpu} for cpu in sorted(cpus)]
+        assert sorted((mask for _, mask in bound), key=min) == expected
+        threads = {thread for thread, _ in bound}
+        assert len(threads) == len(bound) and threading.current_thread() not in threads
 
 
 class TestPhysics:
