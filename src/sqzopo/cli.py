@@ -61,6 +61,25 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _levels(pump_mw: float, x: float, r: QuadratureVariances, jitter: PhaseNoiseModel) -> str:
+    """The ``SWEEP_HEADER`` columns of one row, which oracle rows extend."""
+    corrected = degrade_exact(r, jitter)
+    return ",".join(
+        _fmt(v)
+        for v in (
+            pump_mw,
+            x,
+            gain_from_x(x),
+            r.r_plus,
+            r.r_minus,
+            r.r_plus_db,
+            r.r_minus_db,
+            corrected.r_plus_db,
+            corrected.r_minus_db,
+        )
+    )
+
+
 def _write_csv(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out is None or out == "-":
@@ -74,7 +93,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     report = cfg.derived()
     if args.corrected:
         degrade = degrade_approx if args.approx else degrade_exact
-        r = forward_variances(report["alpha"], report["rho"], report["x"], report["detuning"])
+        r = QuadratureVariances(report["r_plus"], report["r_minus"])
         corrected = degrade(r, cfg.phase_noise())
         report["theta_rms_deg"] = cfg.theta_rms_deg
         report["r_plus_corrected_db"] = corrected.r_plus_db
@@ -133,23 +152,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             power_mw = args.pmin + (args.pmax - args.pmin) * i / (args.steps - 1)
         x = math.sqrt(power_mw / threshold_mw)
         r = forward_variances(derived["alpha"], derived["rho"], x, derived["detuning"])
-        corrected = degrade_exact(r, jitter)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    power_mw,
-                    x,
-                    gain_from_x(x),
-                    r.r_plus,
-                    r.r_minus,
-                    r.r_plus_db,
-                    r.r_minus_db,
-                    corrected.r_plus_db,
-                    corrected.r_minus_db,
-                )
-            )
-        )
+        lines.append(_levels(power_mw, x, r, jitter))
     _write_csv(lines, args.out)
     return EXIT_OK
 
@@ -182,9 +185,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
         x, gain = fit.x, fit.gain
     else:
-        predicted = forward_variances(
-            derived["alpha"], derived["rho"], derived["x"], derived["detuning"]
-        )
+        predicted = QuadratureVariances(derived["r_plus"], derived["r_minus"])
         fit = fit_theta(measured, predicted, use_approx=args.approx)
         x, gain = derived["x"], derived["gain"]
 
@@ -221,25 +222,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     jitter = cfg.phase_noise()
     lines = [ORACLE_HEADER]
     for pt in points:
-        corrected = degrade_exact(QuadratureVariances(pt.r_plus, pt.r_minus), jitter)
+        r = QuadratureVariances(pt.r_plus, pt.r_minus)
         lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    pump_mw,
-                    x,
-                    derived["gain"],
-                    pt.r_plus,
-                    pt.r_minus,
-                    10.0 * math.log10(pt.r_plus),
-                    10.0 * math.log10(pt.r_minus),
-                    corrected.r_plus_db,
-                    corrected.r_minus_db,
-                    pt.stderr_plus,
-                    pt.stderr_minus,
-                )
-            )
-            + f",{pt.segments},{pt.seed}"
+            f"{_levels(pump_mw, x, r, jitter)},{_fmt(pt.stderr_plus)},"
+            f"{_fmt(pt.stderr_minus)},{pt.segments},{pt.seed}"
         )
     _write_csv(lines, args.out)
 
@@ -294,39 +280,19 @@ def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str
         x,
         records["detuning"]["value"],
     )
-    ok_minus = abs(
-        predicted.r_minus_db - records["predicted_squeezing_db"]["value"]
-    ) <= CHECK_TOL_SQUEEZING_DB
-    ok_plus = abs(
-        predicted.r_plus_db - records["predicted_anti_squeezing_db"]["value"]
-    ) <= CHECK_TOL_ANTI_DB
-    results.append(
-        (
-            "jitter-free prediction",
-            ok_minus and ok_plus,
-            f"got ({predicted.r_minus_db:.2f}, {predicted.r_plus_db:.2f}) dB, expected "
-            f"({records['predicted_squeezing_db']['value']}, "
-            f"{records['predicted_anti_squeezing_db']['value']}) dB",
-        )
-    )
-
     jitter = PhaseNoiseModel.from_degrees(records["theta_rms_deg"]["value"])
-    corrected = degrade_exact(predicted, jitter)
-    ok_minus = abs(
-        corrected.r_minus_db - records["corrected_squeezing_db"]["value"]
-    ) <= CHECK_TOL_SQUEEZING_DB
-    ok_plus = abs(
-        corrected.r_plus_db - records["corrected_anti_squeezing_db"]["value"]
-    ) <= CHECK_TOL_ANTI_DB
-    results.append(
-        (
-            "jitter-corrected prediction",
-            ok_minus and ok_plus,
-            f"got ({corrected.r_minus_db:.2f}, {corrected.r_plus_db:.2f}) dB, expected "
-            f"({records['corrected_squeezing_db']['value']}, "
-            f"{records['corrected_anti_squeezing_db']['value']}) dB",
+    for name, prefix, r in (
+        ("jitter-free prediction", "predicted", predicted),
+        ("jitter-corrected prediction", "corrected", degrade_exact(predicted, jitter)),
+    ):
+        sq_db = records[f"{prefix}_squeezing_db"]["value"]
+        asq_db = records[f"{prefix}_anti_squeezing_db"]["value"]
+        ok = (
+            abs(r.r_minus_db - sq_db) <= CHECK_TOL_SQUEEZING_DB
+            and abs(r.r_plus_db - asq_db) <= CHECK_TOL_ANTI_DB
         )
-    )
+        detail = f"got ({r.r_minus_db:.2f}, {r.r_plus_db:.2f}) dB, expected ({sq_db}, {asq_db}) dB"
+        results.append((name, ok, detail))
 
     # Correction step: the configured clearance must map the raw measured
     # level onto the quoted inferred one before the inferred level is fit.
@@ -447,9 +413,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except InfeasibleCorrectionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE

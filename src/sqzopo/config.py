@@ -40,14 +40,27 @@ class ConfigError(ValueError):
 
 PUMP_MODES = ("gain", "x", "power")
 
-_SECTIONS = {
-    "cavity": ("T", "L", "round_trip_m"),
-    "detection": ("zeta", "eta", "xi", "dark_clearance_db"),
-    "pump": ("mode", "value", "threshold_mW"),
-    "noise": ("theta_rms_deg",),
-    "measurement": ("frequency_hz",),
+# The JSON schema, declared once: each ExperimentConfig attribute and the
+# (section, key) it is read from and written to, in the order fields are
+# checked and serialized.  Attributes with a default (None) are optional.
+_FIELDS = {
+    "cavity_T": ("cavity", "T"),
+    "cavity_L": ("cavity", "L"),
+    "round_trip_m": ("cavity", "round_trip_m"),
+    "zeta": ("detection", "zeta"),
+    "eta": ("detection", "eta"),
+    "xi": ("detection", "xi"),
+    "dark_clearance_db": ("detection", "dark_clearance_db"),
+    "pump_mode": ("pump", "mode"),
+    "pump_value": ("pump", "value"),
+    "threshold_mW": ("pump", "threshold_mW"),
+    "theta_rms_deg": ("noise", "theta_rms_deg"),
+    "frequency_hz": ("measurement", "frequency_hz"),
 }
-_OPTIONAL_KEYS = {"detection.dark_clearance_db", "pump.threshold_mW"}
+_SECTION_KEYS = {
+    name: {key for section, key in _FIELDS.values() if section == name}
+    for name, _ in _FIELDS.values()
+}
 
 
 def _require(section: dict, section_name: str, key: str) -> Any:
@@ -90,56 +103,29 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("<root>", "configuration must be a JSON object")
         for name in data:
-            if name not in _SECTIONS:
+            if name not in _SECTION_KEYS:
                 raise ConfigError(name, "unknown section")
-        for name, keys in _SECTIONS.items():
+        for name, keys in _SECTION_KEYS.items():
             if name not in data:
                 raise ConfigError(name, "missing required section")
-            section = data[name]
-            if not isinstance(section, dict):
+            if not isinstance(data[name], dict):
                 raise ConfigError(name, "section must be a JSON object")
-            for key in section:
+            for key in data[name]:
                 if key not in keys:
                     raise ConfigError(f"{name}.{key}", "unknown field")
 
-        cavity = data["cavity"]
-        det = data["detection"]
-        pump = data["pump"]
-        noise = data["noise"]
-        meas = data["measurement"]
-
-        mode = _require(pump, "pump", "mode")
+        mode = _require(data["pump"], "pump", "mode")
         if mode not in PUMP_MODES:
             raise ConfigError("pump.mode", f"must be one of {PUMP_MODES}, got {mode!r}")
 
-        cfg = cls(
-            cavity_T=_number(_require(cavity, "cavity", "T"), "cavity.T"),
-            cavity_L=_number(_require(cavity, "cavity", "L"), "cavity.L"),
-            round_trip_m=_number(
-                _require(cavity, "cavity", "round_trip_m"), "cavity.round_trip_m"
-            ),
-            zeta=_number(_require(det, "detection", "zeta"), "detection.zeta"),
-            eta=_number(_require(det, "detection", "eta"), "detection.eta"),
-            xi=_number(_require(det, "detection", "xi"), "detection.xi"),
-            dark_clearance_db=(
-                None
-                if det.get("dark_clearance_db") is None
-                else _number(det["dark_clearance_db"], "detection.dark_clearance_db")
-            ),
-            pump_mode=mode,
-            pump_value=_number(_require(pump, "pump", "value"), "pump.value"),
-            threshold_mW=(
-                None
-                if pump.get("threshold_mW") is None
-                else _number(pump["threshold_mW"], "pump.threshold_mW")
-            ),
-            theta_rms_deg=_number(
-                _require(noise, "noise", "theta_rms_deg"), "noise.theta_rms_deg"
-            ),
-            frequency_hz=_number(
-                _require(meas, "measurement", "frequency_hz"), "measurement.frequency_hz"
-            ),
-        )
+        values: dict[str, Any] = {}
+        for attr, (name, key) in _FIELDS.items():
+            value = data[name].get(key)
+            if attr == "pump_mode" or (value is None and hasattr(cls, attr)):
+                values[attr] = value  # the checked mode, or an absent optional field
+            else:
+                values[attr] = _number(_require(data[name], name, key), f"{name}.{key}")
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
@@ -154,23 +140,12 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """Inverse of :meth:`from_dict`; optional fields are emitted only
         when present."""
-        detection: dict[str, Any] = {"zeta": self.zeta, "eta": self.eta, "xi": self.xi}
-        if self.dark_clearance_db is not None:
-            detection["dark_clearance_db"] = self.dark_clearance_db
-        pump: dict[str, Any] = {"mode": self.pump_mode, "value": self.pump_value}
-        if self.threshold_mW is not None:
-            pump["threshold_mW"] = self.threshold_mW
-        return {
-            "cavity": {
-                "T": self.cavity_T,
-                "L": self.cavity_L,
-                "round_trip_m": self.round_trip_m,
-            },
-            "detection": detection,
-            "pump": pump,
-            "noise": {"theta_rms_deg": self.theta_rms_deg},
-            "measurement": {"frequency_hz": self.frequency_hz},
-        }
+        tree: dict[str, dict[str, Any]] = {}
+        for attr, (section, key) in _FIELDS.items():
+            value = getattr(self, attr)
+            if value is not None:
+                tree.setdefault(section, {})[key] = value
+        return tree
 
     def validate(self) -> None:
         """Build every domain object once, mapping any violation to the

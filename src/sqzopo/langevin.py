@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 from .model import SPEED_OF_LIGHT, OpoCavity
 
-# Dimensionless Euler step gamma_total (1 + x) dt / 2 must stay below this
-# for the fast quadrature's recursion to be meaningfully stable.
+# Bound on the dimensionless Euler step gamma_total (1 + x) dt / 2: smaller
+# steps keep the discrete update a faithful, stable model of the dynamics.
 STABILITY_LIMIT = 0.1
 
 MIN_SEGMENTS = 8
@@ -176,7 +176,7 @@ def simulate_output_spectrum(
     # One worker per usable CPU holds one block of one port's draws (16 bytes
     # a step a segment) and their rfft (16); estimates take 16 a frequency.
     pinnable = hasattr(os, "sched_setaffinity")
-    cpus = sorted(os.sched_getaffinity(0)) if pinnable else [None] * (os.cpu_count() or 1)
+    cpus = sorted(os.sched_getaffinity(0)) if pinnable else range(os.cpu_count() or 1)
     workers = min(len(cpus), -(-cfg.segments // _BLOCK))
     needed = 32 * workers * _BLOCK * n_steps + 16 * cfg.segments * len(omegas)
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -219,9 +219,9 @@ def simulate_output_spectrum(
     errors: list[BaseException] = []
     blocks = iter(range(0, cfg.segments, _BLOCK))  # shared: a free worker takes the next
 
-    def run(cpu: int | None) -> None:
+    def run(cpu: int) -> None:
         try:
-            if cpu is not None:
+            if pinnable:
                 with contextlib.suppress(OSError):  # placement only, never results
                     os.sched_setaffinity(0, {cpu})
             noise = np.empty((_BLOCK, 2, n_steps))
@@ -250,18 +250,15 @@ def simulate_output_spectrum(
         except BaseException as exc:  # re-raised once every worker has stopped
             errors.append(exc)
 
-    # One worker runs in the caller.  Several each get a thread bound to its
-    # own CPU: unbound, the kernel at times ran both workers on one CPU of two
-    # for whole calls while the other idled, at serial speed.  The caller only
-    # waits on them, so its own CPU affinity is never changed.
-    if workers == 1:
-        run(None)
-    else:
-        threads = [threading.Thread(target=run, args=(cpu,)) for cpu in cpus[:workers]]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+    # Each worker gets a thread bound to its own CPU: unbound, the kernel at
+    # times ran both workers on one CPU of two for whole calls while the other
+    # idled, at serial speed.  The caller only waits on the threads, so its own
+    # CPU affinity is never changed.
+    threads = [threading.Thread(target=run, args=(cpu,)) for cpu in cpus[:workers]]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[0]
 

@@ -22,7 +22,11 @@ from sqzopo.cli import (
     ORACLE_HEADER,
     SWEEP_HEADER,
 )
+from sqzopo.config import ExperimentConfig
 from sqzopo.dataset import load_dataset
+from sqzopo.langevin import LangevinConfig, simulate_output_spectrum
+from sqzopo.model import QuadratureVariances
+from sqzopo.phase_noise import degrade_exact
 
 CONFIG = str(cli.packaged_config_path())
 CONFIG_POWER = str(cli.packaged_config_path("paper_250mW_power.json"))
@@ -400,6 +404,90 @@ class TestBenchmarkDataset:
         with pytest.raises(SystemExit) as exc:
             cli.main(["paper", "--list", "--check"])
         assert exc.value.code == EXIT_VALIDATION
+
+
+# Exact stdout on the shipped gain-mode config.  The reports are plain
+# float arithmetic, so any change to a column, its order or its formatting
+# shows up here.
+PINNED_OUTPUT = {
+    "predict-corrected-csv": (
+        ["predict", CONFIG, "--corrected", "--format", "csv"],
+        "alpha,rho,gamma_rad_s,x,gain,detuning,r_plus,r_minus,r_plus_db,r_minus_db,"
+        "theta_rms_deg,r_plus_corrected_db,r_minus_corrected_db\n"
+        "0.95269,0.931677,2.25545e+08,0.663473,8.83,0.0278578,21.245,0.149681,"
+        "13.2726,-8.24834,4.3,13.2483,-5.7214\n",
+    ),
+    "sweep-anchor": (
+        ["sweep", CONFIG, "--pmin", "50", "--pmax", "450", "--steps", "9",
+         "--anchor", "250:8.83"],
+        "pump_mW,x,G,R_plus,R_minus,R_plus_dB,R_minus_dB,Rp_corr_dB,Rm_corr_dB\n"
+        "50,0.296714,2.02179,3.11658,0.374646,4.93678,-4.26379,4.91533,-4.08932\n"
+        "100,0.419617,2.96873,5.38246,0.261893,7.30981,-5.81877,7.2866,-5.36747\n"
+        "150,0.513924,4.23245,8.62253,0.204976,9.35635,-6.88297,9.33254,-5.98391\n"
+        "200,0.593428,6.04959,13.511,0.1712,11.3069,-7.66496,11.2828,-6.09218\n"
+        "250,0.663473,8.83,21.245,0.149681,13.2726,-8.24834,13.2483,-5.7214\n"
+        "300,0.726798,13.3978,34.1916,0.135518,15.3392,-8.68003,15.3149,-4.86438\n"
+        "350,0.785032,21.6398,57.5173,0.126124,17.598,-8.99201,17.5736,-3.49149\n"
+        "400,0.839235,38.6914,103.924,0.119989,20.1671,-9.20857,20.1428,-1.54052\n"
+        "450,0.890143,82.8595,209.291,0.116167,23.2075,-9.34919,23.1831,1.09816\n",
+    ),
+    "fit-joint": (
+        ["fit", CONFIG, "--sq-db", "-5.80", "--asq-db", "12.72", "--joint"],
+        "{\n"
+        '  "theta_rms_deg": 4.381744799568733,\n'
+        '  "x": 0.6456469025397391,\n'
+        '  "gain": 7.963931819179099,\n'
+        '  "residual_db2": 1.4617592573745349e-27,\n'
+        '  "status": "ok"\n'
+        "}\n",
+    ),
+    "paper-check": (
+        ["paper", "--check"],
+        "PASS  [1] escape efficiency: got 0.9317, expected 0.932 +/- 0.001\n"
+        "PASS  [2] detection efficiency: got 0.9527, expected 0.953 +/- 0.001\n"
+        "PASS  [3] detuning: got 0.0279, expected 0.028 +/- 0.001\n"
+        "PASS  [4] jitter-free prediction: got (-8.26, 13.27) dB, expected (-8.2, 13.27) dB\n"
+        "PASS  [5] jitter-corrected prediction: got (-5.73, 13.25) dB, "
+        "expected (-5.68, 13.25) dB\n"
+        "PASS  [6] jitter recovery from measured squeezing: got 4.22 deg, "
+        "expected 4.3 +/- 0.6 deg (corrected raw level -5.80 dB vs -5.8 dB)\n",
+    ),
+}
+
+
+class TestExactOutput:
+    @pytest.mark.parametrize("name", list(PINNED_OUTPUT))
+    def test_stdout_bytes(self, capsys, name):
+        argv, expected = PINNED_OUTPUT[name]
+        code, out, err = _run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == expected
+
+    def test_oracle_row_matches_library(self, capsys):
+        code, out, _ = _run(capsys, "oracle", CONFIG, "--seed", "3", "--segments", "8")
+        assert code == EXIT_OK
+        header, row = out.splitlines()
+
+        cfg = ExperimentConfig.from_file(CONFIG)
+        derived = cfg.derived()
+        x = derived["x"]
+        dt = 2.0 * cli.ORACLE_STABILITY_STEP / (derived["gamma_rad_s"] * (1.0 + x))
+        sim = LangevinConfig.from_cavity(
+            cfg.opo_cavity(), x=x, dt=dt, duration=cli.ORACLE_STEPS_PER_SEGMENT * dt,
+            seed=3, segments=8,
+        )
+        (pt,) = simulate_output_spectrum(sim, [cfg.omega()])
+        corrected = degrade_exact(QuadratureVariances(pt.r_plus, pt.r_minus), cfg.phase_noise())
+        columns = [
+            math.nan, x, derived["gain"], pt.r_plus, pt.r_minus,
+            10.0 * math.log10(pt.r_plus), 10.0 * math.log10(pt.r_minus),
+            corrected.r_plus_db, corrected.r_minus_db, pt.stderr_plus, pt.stderr_minus,
+        ]
+        expected = [f"{v:.6g}" for v in columns] + ["8", "3"]
+        assert header == ORACLE_HEADER
+        assert dict(zip(header.split(","), row.split(","))) == dict(
+            zip(header.split(","), expected)
+        )
 
 
 def _python(code: str, *args: str, module: bool = False) -> subprocess.CompletedProcess:

@@ -186,9 +186,9 @@ class TestConcurrency:
             lambda pid, mask: bound.append((threading.current_thread(), set(mask))),
         )
         simulate_output_spectrum(_config(0.5, seed=1, segments=16, steps=2048), [0.1 * GAMMA])
-        # one CPU runs in the caller unbound; the caller's affinity is never set
-        expected = [] if len(cpus) == 1 else [{cpu} for cpu in sorted(cpus)]
-        assert sorted((mask for _, mask in bound), key=min) == expected
+        # every worker, a lone one too, runs on its own bound thread; the
+        # caller's affinity is never set
+        assert sorted((mask for _, mask in bound), key=min) == [{cpu} for cpu in sorted(cpus)]
         threads = {thread for thread, _ in bound}
         assert len(threads) == len(bound) and threading.current_thread() not in threads
 
