@@ -18,9 +18,8 @@ from .phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
 
 THETA_MAX = math.pi / 4
 
-# Fixed step counts shrink a unit bracket below one float spacing:
-# 2^-60 for bisection, 0.618^80 for golden-section search.
-_BISECTION_STEPS = 60
+# A fixed step count shrinks a unit bracket below one float spacing:
+# 0.618^80 for golden-section search.
 _GOLDEN_STEPS = 80
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -33,13 +32,11 @@ class InfeasibleCorrectionError(ValueError):
 @dataclass(frozen=True)
 class MeasuredLevels:
     """A measured squeezing / anti-squeezing pair in dB relative to shot
-    noise, optionally tagged with the pump power (watts) and the quoted
-    measurement uncertainty."""
+    noise.  The anti-squeezing level may be left out (None) for the
+    jitter-only fit, which does not read it."""
 
     squeezing_db: float
-    anti_squeezing_db: float
-    pump_power: float | None = None
-    uncertainty_db: float | None = None
+    anti_squeezing_db: float | None = None
 
     def __post_init__(self) -> None:
         # Chained comparisons are False for NaN, so they also reject it.
@@ -48,7 +45,7 @@ class MeasuredLevels:
                 f"squeezing level must be finite and below shot noise, got "
                 f"{self.squeezing_db} dB"
             )
-        if not 0.0 < self.anti_squeezing_db < math.inf:
+        if self.anti_squeezing_db is not None and not 0.0 < self.anti_squeezing_db < math.inf:
             raise ValueError(
                 f"anti-squeezing level must be finite and above shot noise, got "
                 f"{self.anti_squeezing_db} dB"
@@ -58,8 +55,8 @@ class MeasuredLevels:
 @dataclass(frozen=True)
 class FitResult:
     """Fitted phase jitter (radians), optional pump parameter, the final
-    sum of squared dB residuals, and the solver effort (bisection and
-    search steps; 0 for a pure closed form)."""
+    sum of squared dB residuals, and the solver effort (golden-section
+    steps of the edge search; 0 for a pure closed form)."""
 
     theta_rms: float
     residual: float
@@ -200,43 +197,40 @@ def fit_joint(
 ) -> FitResult:
     """Jointly recover (x, theta_rms) from a squeezing / anti-squeezing pair.
 
-    Jitter conserves R_+ + R_-, which is strictly increasing in x: bisection
-    on the measured sum gives x, then theta_rms follows as in :func:`fit_theta`.
+    Jitter conserves R_+ + R_- = 2 + c, so u = x^2 is the smaller root of
+    c u^2 + (2c (k - 2) - 16 alpha rho) u + c k^2, k = 1 + 4 Omega^2 (the
+    roots multiply to k^2 >= 1); theta_rms then follows as in :func:`fit_theta`.
 
     When no point of [0, PUMP_X_MAX] x [0, pi/4] reproduces the pair, the
     dB least-squares optimum lies on an edge of that box (x = 0 is a point
     of the theta_rms = 0 edge); the best of a golden-section search along
     each remaining edge is returned.  Deterministic for fixed inputs.
     """
+    if measured.anti_squeezing_db is None:
+        raise ValueError("the joint fit needs an anti-squeezing level")
     degrade = degrade_approx if use_approx else degrade_exact
     sq_db, asq_db = measured.squeezing_db, measured.anti_squeezing_db
     target_minus = from_db(sq_db)
-    total = target_minus + from_db(asq_db)
-
-    def forward(x: float) -> QuadratureVariances:
-        return forward_variances(alpha, rho, x, detuning)
 
     def resid(x: float, theta: float) -> float:
-        degraded = degrade(forward(x), PhaseNoiseModel(theta))
+        degraded = degrade(forward_variances(alpha, rho, x, detuning), PhaseNoiseModel(theta))
         return (degraded.r_minus_db - sq_db) ** 2 + (degraded.r_plus_db - asq_db) ** 2
 
-    steps = 0
-    top = forward(PUMP_X_MAX)
-    if 2.0 <= total <= top.r_plus + top.r_minus:
-        steps = _BISECTION_STEPS
-        lo, hi = 0.0, PUMP_X_MAX
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            R = forward(mid)
-            lo, hi = (mid, hi) if R.r_plus + R.r_minus < total else (lo, mid)
-        x = 0.5 * (lo + hi)
-        R = forward(x)
-        theta = _theta_from_mix(_jitter_mix(R, target_minus), use_approx)
-        if theta is not None and not _below_floor(target_minus, R):
-            return FitResult(theta_rms=theta, residual=resid(x, theta), iterations=steps, x=x)
+    c = target_minus + from_db(asq_db) - 2.0
+    k = 1.0 + 4.0 * detuning * detuning
+    b = 2.0 * c * (k - 2.0) - 16.0 * alpha * rho
+    # b^2 - 4 c^2 k^2, factored so that it does not cancel; > 0 implies b < 0.
+    disc = 64.0 * (c + 4.0 * alpha * rho) * (alpha * rho - c * detuning * detuning)
+    if c >= 0.0 and disc > 0.0:
+        x = math.sqrt(2.0 * c * k * k / (math.sqrt(disc) - b))
+        if x <= PUMP_X_MAX:
+            R = forward_variances(alpha, rho, x, detuning)
+            theta = _theta_from_mix(_jitter_mix(R, target_minus), use_approx)
+            if theta is not None and not _below_floor(target_minus, R):
+                return FitResult(theta_rms=theta, residual=resid(x, theta), iterations=0, x=x)
 
     r0, x0 = _golden_min(lambda x: resid(x, 0.0), 0.0, PUMP_X_MAX)
     r1, x1 = _golden_min(lambda x: resid(x, THETA_MAX), 0.0, PUMP_X_MAX)
     r2, t2 = _golden_min(lambda t: resid(PUMP_X_MAX, t), 0.0, THETA_MAX)
     r, x, theta = min((r0, x0, 0.0), (r1, x1, THETA_MAX), (r2, PUMP_X_MAX, t2))
-    return FitResult(theta_rms=theta, residual=r, iterations=steps + 3 * _GOLDEN_STEPS, x=x)
+    return FitResult(theta_rms=theta, residual=r, iterations=3 * _GOLDEN_STEPS, x=x)

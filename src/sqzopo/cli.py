@@ -170,10 +170,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     derived = cfg.derived()
     if args.joint and args.asq_db is None:
         raise ConfigError("--asq-db", "required for a joint fit")
-    # The anti-squeezing reading is unused by the jitter-only fit; fall back
-    # to the model prediction purely to fill the measured-pair record.
-    asq_db = derived["r_plus_db"] if args.asq_db is None else args.asq_db
-    measured = MeasuredLevels(squeezing_db=args.sq_db, anti_squeezing_db=asq_db)
+    measured = MeasuredLevels(squeezing_db=args.sq_db, anti_squeezing_db=args.asq_db)
 
     if args.joint:
         fit = fit_joint(
@@ -267,20 +264,27 @@ def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str
         results.append((name, ok, f"got {got:.4f}, expected {expected} +/- {tol}"))
         return ok
 
+    def build(name: str, make):
+        # A record the domain object rejects is named like a malformed one.
+        try:
+            return make(records[name]["value"])
+        except ValueError as err:
+            raise ConfigError(f"crystal_1.{name}", str(err)) from err
+
     check("escape efficiency", derived["rho"], records["rho"]["value"], CHECK_TOL_EFFICIENCY)
     check("detection efficiency", derived["alpha"], records["alpha"]["value"], CHECK_TOL_EFFICIENCY)
     check("detuning", derived["detuning"], records["detuning"]["value"], CHECK_TOL_EFFICIENCY)
 
     # Predictions are evaluated at the quoted calibration values, not the
     # recomputed ones, so each check isolates one claim.
-    x = pump_parameter(PumpOperatingPoint.from_gain(records["gain"]["value"]))
+    x = build("gain", lambda gain: pump_parameter(PumpOperatingPoint.from_gain(gain)))
     predicted = forward_variances(
         records["alpha"]["value"],
         records["rho"]["value"],
         x,
         records["detuning"]["value"],
     )
-    jitter = PhaseNoiseModel.from_degrees(records["theta_rms_deg"]["value"])
+    jitter = build("theta_rms_deg", PhaseNoiseModel.from_degrees)
     for name, prefix, r in (
         ("jitter-free prediction", "predicted", predicted),
         ("jitter-corrected prediction", "corrected", degrade_exact(predicted, jitter)),

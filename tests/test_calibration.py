@@ -22,6 +22,7 @@ from sqzopo.calibration import (
     fit_theta,
 )
 from sqzopo.model import (
+    PUMP_X_MAX,
     PumpOperatingPoint,
     forward_variances,
     from_db,
@@ -110,8 +111,13 @@ class TestMeasuredLevels:
                 MeasuredLevels(squeezing_db=sq, anti_squeezing_db=asq)
 
     def test_optional_fields(self):
-        levels = MeasuredLevels(-5.6, 12.7, pump_power=0.250, uncertainty_db=0.1)
-        assert levels.pump_power == 0.250
+        # The jitter-only fit reads no anti-squeezing level; the joint fit
+        # needs one.
+        levels = MeasuredLevels(-5.80)
+        assert levels.anti_squeezing_db is None
+        assert fit_theta(levels, PREDICTED) == fit_theta(MeasuredLevels(-5.80, 12.72), PREDICTED)
+        with pytest.raises(ValueError, match="anti-squeezing"):
+            fit_joint(levels, 0.953, 0.932, 0.028)
 
 
 class TestFitTheta:
@@ -230,6 +236,46 @@ class TestFitJoint:
                 assert fit.residual <= grid_best, case
                 assert fit.residual <= previous * (1 + 1e-9) + 1e-12, case
                 assert fit.residual == pytest.approx(resid(fit.x, fit.theta_rms), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "x_true, theta_true, omega",
+        [(0.55, 0.05, 0.0), (0.3, 0.2, 0.0), (0.55, 0.05, 0.6), (0.9, 0.3, 0.6),
+         (0.99, 0.01, 0.028), (0.99, 0.002, 0.0), (1e-4, 0.0, 0.028)],
+    )
+    def test_exact_reading_solved_in_closed_form(self, x_true, theta_true, omega):
+        # Omega = 0.6 makes k = 1 + 4 Omega^2 > 2, so the quadratic's linear
+        # coefficient has a positive first term.
+        degraded = degrade_exact(
+            forward_variances(0.953, 0.932, x_true, omega), PhaseNoiseModel(theta_true)
+        )
+        measured = MeasuredLevels(degraded.r_minus_db, degraded.r_plus_db)
+        fit = fit_joint(measured, 0.953, 0.932, omega)
+        assert (fit.status, fit.iterations) == ("ok", 0)
+        assert fit.x == pytest.approx(x_true, abs=1e-9)
+        assert fit.theta_rms == pytest.approx(theta_true, abs=1e-6)
+
+    def test_sum_of_two_solved_at_x_zero(self):
+        # R_+ + R_- = 2 exactly puts the root at x = 0, whose shot-noise
+        # levels cannot explain any squeezing: the edge search answers.
+        sq = -3.0
+        asq = to_db(2.0 - from_db(sq))
+        while from_db(sq) + from_db(asq) > 2.0:
+            asq = math.nextafter(asq, 0.0)
+        while from_db(sq) + from_db(asq) < 2.0:
+            asq = math.nextafter(asq, math.inf)
+        assert from_db(sq) + from_db(asq) == 2.0
+        fit = fit_joint(MeasuredLevels(sq, asq), 0.953, 0.932, 0.028)
+        assert (fit.status, fit.iterations) == ("ok", 240)
+        assert fit.residual < (sq**2 + asq**2)
+
+    @pytest.mark.parametrize("omega", [0.0, 0.028])
+    def test_sum_beyond_reach_falls_back(self, omega):
+        # A sum just above R_+ + R_- at PUMP_X_MAX puts the root past it.
+        top = forward_variances(0.953, 0.932, PUMP_X_MAX, omega)
+        asq = to_db(top.r_plus * (1.0 + 1e-6))
+        fit = fit_joint(MeasuredLevels(top.r_minus_db, asq), 0.953, 0.932, omega)
+        assert (fit.status, fit.iterations) == ("ok", 240)
+        assert 0.0 <= fit.x <= PUMP_X_MAX
 
     def test_deterministic(self):
         measured = MeasuredLevels(squeezing_db=-5.80, anti_squeezing_db=12.72)

@@ -276,6 +276,15 @@ class TestFit:
         assert code == EXIT_INFEASIBLE
         assert json.loads(out)["status"] == "infeasible"
 
+    def test_theta_fit_reads_no_anti_squeezing(self, capsys, tmp_path):
+        # Unpumped, the predicted anti-squeezing is 0 dB; the jitter-only fit
+        # must not stand that in for the reading it was not given.
+        path = _write_config(tmp_path, lambda raw: raw.update(pump={"mode": "x", "value": 0.0}))
+        code, out, err = _run(capsys, "fit", path, "--sq-db", "-1")
+        assert (code, err) == (EXIT_INFEASIBLE, "")
+        assert json.loads(out)["status"] == "infeasible"
+        assert _run(capsys, "fit", path, "--sq-db", "-1", "--asq-db", "1") == (code, out, err)
+
     @pytest.mark.parametrize("joint", [False, True])
     def test_non_finite_levels_exit_2(self, capsys, joint):
         for sq, asq in (("nan", "12.72"), ("-inf", "12.72"), ("-5.80", "nan"),
@@ -372,6 +381,16 @@ class TestBenchmarkDataset:
         code, out, err = _run(capsys, "paper", "--check", "--dataset", str(path))
         assert code == EXIT_VALIDATION
         assert out == "" and "crystal_1." in err
+
+    @pytest.mark.parametrize("record, value", [("theta_rms_deg", -2.0), ("gain", 0.5)])
+    def test_check_with_unphysical_record_names_it(self, capsys, tmp_path, record, value):
+        data = load_dataset()
+        data["crystals"][0]["records"][record]["value"] = value
+        path = tmp_path / "unphysical.json"
+        path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, "paper", "--check", "--dataset", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"error: crystal_1.{record}: ")
 
     def test_check_without_crystal_1_exits_2(self, capsys, tmp_path):
         for data in ({"crystals": []}, {"crystals": {}}, [], {"crystals": [{"name": "crystal_1"}]}):
@@ -538,6 +557,16 @@ class TestImportGate:
         proc = _python(_GATE, "oracle", CONFIG, "--segments", "8")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, ["numpy"]]
+
+    def test_quadrature_loads_neither(self):
+        proc = _python(
+            "import sys\n"
+            "from sqzopo import *\n"
+            "degrade_quadrature(QuadratureVariances(21.2, 0.15), PhaseNoiseModel(0.075))\n"
+            f"print({_LOADED})\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
 
     def test_oracle_loads_numpy_only(self):
         proc = _python(
