@@ -10,7 +10,6 @@ go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import importlib.resources
 import json
 import math
 import sys
@@ -33,7 +32,6 @@ from .model import (
     forward_variances,
     from_db,
     gain_from_x,
-    pump_parameter,
 )
 from .phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
 
@@ -54,7 +52,7 @@ ORACLE_STEPS_PER_SEGMENT = 8192
 
 def packaged_config_path(name: str = "paper_250mW.json") -> Path:
     """Path of a configuration file shipped with the package."""
-    return Path(str(importlib.resources.files("sqzopo").joinpath("data", name)))
+    return Path(__file__).with_name("data") / name
 
 
 def _fmt(value: float) -> str:
@@ -114,7 +112,7 @@ def _sweep_threshold_mw(args: argparse.Namespace, cfg: ExperimentConfig) -> floa
             power_mw, gain = float(power_s), float(gain_s)
         except ValueError as err:
             raise ConfigError("--anchor", f"expected 'P_mW:G', got {args.anchor!r}") from err
-        x = pump_parameter(PumpOperatingPoint.from_gain(gain))
+        x = PumpOperatingPoint.from_gain(gain).x
         if x == 0.0:
             raise ConfigError("--anchor", "gain 1 carries no threshold information")
         if not 0.0 < power_mw < math.inf:
@@ -277,7 +275,7 @@ def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str
 
     # Predictions are evaluated at the quoted calibration values, not the
     # recomputed ones, so each check isolates one claim.
-    x = build("gain", lambda gain: pump_parameter(PumpOperatingPoint.from_gain(gain)))
+    x = build("gain", lambda gain: PumpOperatingPoint.from_gain(gain).x)
     predicted = forward_variances(
         records["alpha"]["value"],
         records["rho"]["value"],

@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from .model import (
     DetectionChain,
@@ -25,7 +24,6 @@ from .model import (
     forward_variances,
     from_db,
     gain_from_x,
-    pump_parameter,
 )
 from .phase_noise import PhaseNoiseModel
 
@@ -63,13 +61,13 @@ _SECTION_KEYS = {
 }
 
 
-def _require(section: dict, section_name: str, key: str) -> Any:
+def _require(section: dict, section_name: str, key: str) -> object:
     if key not in section:
         raise ConfigError(f"{section_name}.{key}", "missing required field")
     return section[key]
 
 
-def _number(value: Any, path: str) -> float:
+def _number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     try:
@@ -118,7 +116,7 @@ class ExperimentConfig:
         if mode not in PUMP_MODES:
             raise ConfigError("pump.mode", f"must be one of {PUMP_MODES}, got {mode!r}")
 
-        values: dict[str, Any] = {}
+        values: dict[str, object] = {}
         for attr, (name, key) in _FIELDS.items():
             value = data[name].get(key)
             if attr == "pump_mode" or (value is None and hasattr(cls, attr)):
@@ -140,7 +138,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """Inverse of :meth:`from_dict`; optional fields are emitted only
         when present."""
-        tree: dict[str, dict[str, Any]] = {}
+        tree: dict[str, dict[str, object]] = {}
         for attr, (section, key) in _FIELDS.items():
             value = getattr(self, attr)
             if value is not None:
@@ -161,7 +159,7 @@ class ExperimentConfig:
         if self.pump_mode == "power" and self.threshold_mW is None:
             raise ConfigError("pump.threshold_mW", "required when pump.mode is 'power'")
         try:
-            pump_parameter(self.pump_operating_point())
+            self.pump_operating_point()
         except ValueError as err:
             raise ConfigError("pump.value", str(err)) from err
         try:
@@ -187,13 +185,16 @@ class ExperimentConfig:
         )
 
     def pump_operating_point(self) -> PumpOperatingPoint:
-        if self.pump_mode == "power":
-            if self.threshold_mW is None:
-                raise ConfigError("pump.threshold_mW", "required when pump.mode is 'power'")
-            return PumpOperatingPoint.from_power(
-                self.pump_value * 1e-3, self.threshold_mW * 1e-3
-            )
-        return PumpOperatingPoint(self.pump_mode, self.pump_value)
+        """The pump reading, converted by the constructor its mode names."""
+        if self.pump_mode == "gain":
+            return PumpOperatingPoint.from_gain(self.pump_value)
+        if self.pump_mode == "x":
+            return PumpOperatingPoint.from_x(self.pump_value)
+        if self.threshold_mW is None:
+            raise ConfigError("pump.threshold_mW", "required when pump.mode is 'power'")
+        return PumpOperatingPoint.from_power(
+            self.pump_value * 1e-3, self.threshold_mW * 1e-3
+        )
 
     def phase_noise(self) -> PhaseNoiseModel:
         return PhaseNoiseModel.from_degrees(self.theta_rms_deg)
@@ -209,7 +210,7 @@ class ExperimentConfig:
         alpha = detection_efficiency(self.detection_chain())
         rho = escape_efficiency(cavity)
         gamma = cavity_decay_rate(cavity)
-        x = pump_parameter(self.pump_operating_point())
+        x = self.pump_operating_point().x
         omega_ratio = detuning(self.omega(), cavity)
         variances = forward_variances(alpha, rho, x, omega_ratio)
         return {

@@ -143,7 +143,10 @@ def load_dataset(path: str | Path | None = None) -> dict:
     """
     if path is None:
         return copy.deepcopy(REFERENCE_DATASET)
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigError(str(path), f"not valid JSON: {err}") from err
     crystals = data.get("crystals") if isinstance(data, dict) else None
     if not isinstance(crystals, list) or not all(isinstance(c, dict) for c in crystals):
         raise ConfigError(str(path), "not a reference dataset (no 'crystals' list)")

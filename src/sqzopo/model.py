@@ -84,62 +84,48 @@ class DetectionChain:
             )
 
 
-def _normalize_pump(mode: str, value: float, threshold: float | None) -> float:
-    if mode == "x":
-        x = value
-        if not 0.0 <= x < 1.0:
-            raise ValueError(f"pump parameter x must be in [0, 1), got {x}")
-        return x
-    if mode == "gain":
-        if not 1.0 <= value < math.inf:
-            raise ValueError(
-                f"classical gain must be finite and >= 1, got {value}; supply the "
-                "amplification gain (deamplification readings are not accepted)"
-            )
-        return 1.0 - 1.0 / math.sqrt(value)
-    if mode == "power":
-        if threshold is None or not 0.0 < threshold < math.inf:
-            raise ValueError(f"threshold power must be finite and > 0 W, got {threshold}")
-        if not value >= 0.0:
-            raise ValueError(f"pump power must be >= 0 W, got {value}")
-        if value >= threshold:
-            raise ValueError(
-                f"pump power {value} W is at or above threshold {threshold} W"
-            )
-        return math.sqrt(value / threshold)
-    raise ValueError(f"unknown pump mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class PumpOperatingPoint:
-    """How hard the OPO is pumped, in one of three equivalent forms:
-    the pump parameter x directly, the classical parametric amplification
-    gain G = 1/(1-x)^2, or a pump power with its oscillation threshold
-    (x = sqrt(P/P_th)).
+    """How hard the OPO is pumped: the pump parameter x in [0, 1), built
+    from one of three equivalent readings -- x itself, the classical
+    parametric amplification gain G = 1/(1-x)^2, or a pump power with its
+    oscillation threshold (x = sqrt(P/P_th)).
 
     Only the physical inversion branch x = 1 - 1/sqrt(G) is accepted for
     gains, and operation must stay below threshold for powers.
     """
 
-    mode: str
-    value: float
-    threshold: float | None = None
+    x: float
 
     def __post_init__(self) -> None:
-        _normalize_pump(self.mode, self.value, self.threshold)
+        if not 0.0 <= self.x < 1.0:
+            raise ValueError(f"pump parameter x must be in [0, 1), got {self.x}")
 
     @classmethod
     def from_x(cls, x: float) -> PumpOperatingPoint:
-        return cls("x", x)
+        return cls(x)
 
     @classmethod
     def from_gain(cls, gain: float) -> PumpOperatingPoint:
-        return cls("gain", gain)
+        if not 1.0 <= gain < math.inf:
+            raise ValueError(
+                f"classical gain must be finite and >= 1, got {gain}; supply the "
+                "amplification gain (deamplification readings are not accepted)"
+            )
+        return cls(1.0 - 1.0 / math.sqrt(gain))
 
     @classmethod
     def from_power(cls, power: float, threshold: float) -> PumpOperatingPoint:
         """Power and threshold in watts."""
-        return cls("power", power, threshold)
+        if not 0.0 < threshold < math.inf:
+            raise ValueError(f"threshold power must be finite and > 0 W, got {threshold}")
+        if not power >= 0.0:
+            raise ValueError(f"pump power must be >= 0 W, got {power}")
+        if power >= threshold:
+            raise ValueError(
+                f"pump power {power} W is at or above threshold {threshold} W"
+            )
+        return cls(math.sqrt(power / threshold))
 
 
 @dataclass(frozen=True)
@@ -193,8 +179,8 @@ def detuning(omega: float, cavity: OpoCavity) -> float:
 
 
 def pump_parameter(op: PumpOperatingPoint) -> float:
-    """Normalized pump parameter x in [0, 1) for any representation."""
-    return _normalize_pump(op.mode, op.value, op.threshold)
+    """Normalized pump parameter x in [0, 1) of an operating point."""
+    return op.x
 
 
 def gain_from_x(x: float) -> float:

@@ -82,9 +82,10 @@ class QuadratureConvergenceError(RuntimeError):
     """Successive quadrature refinements failed to agree."""
 
 
-def degrade_quadrature(
-    R: QuadratureVariances, model: PhaseNoiseModel, nodes: int = 64
-) -> QuadratureVariances:
+QUADRATURE_NODES = 64
+
+
+def degrade_quadrature(R: QuadratureVariances, model: PhaseNoiseModel) -> QuadratureVariances:
     """Numerically integrate the Gaussian average by the trapezoid rule.
 
     In t = theta / (sqrt(2) theta_rms) it is a whole-line integral against
@@ -95,10 +96,8 @@ def degrade_quadrature(
     either quadrature by more than 1e-9 relative, the integration has not
     converged and :class:`QuadratureConvergenceError` is raised.  Agrees
     with :func:`degrade_exact` to better than 1e-9 relative for
-    theta_rms <= pi/4 at the default node count.
+    theta_rms <= pi/4 at :data:`QUADRATURE_NODES` nodes.
     """
-    if nodes < 16:
-        raise ValueError(f"at least 16 quadrature nodes required, got {nodes}")
     if model.theta_rms == 0.0:
         return R
 
@@ -115,12 +114,12 @@ def degrade_quadrature(
             sin2 += w * math.sin(theta) ** 2
         return R.r_plus * cos2 + R.r_minus * sin2, R.r_minus * cos2 + R.r_plus * sin2
 
-    coarse = estimate(nodes)
-    fine = estimate(2 * nodes)
+    coarse = estimate(QUADRATURE_NODES)
+    fine = estimate(2 * QUADRATURE_NODES)
     for a, b in zip(coarse, fine):
         if abs(a - b) > 1e-9 * abs(b):
             raise QuadratureConvergenceError(
-                f"refinement {nodes} -> {2 * nodes} nodes moved the estimate "
-                f"from {a} to {b}; increase nodes or reduce theta_rms"
+                f"refinement {QUADRATURE_NODES} -> {2 * QUADRATURE_NODES} nodes "
+                f"moved the estimate from {a} to {b}; reduce theta_rms"
             )
     return QuadratureVariances(r_plus=fine[0], r_minus=fine[1])

@@ -105,6 +105,12 @@ class TestPredict:
             assert code == EXIT_VALIDATION, (key, out)
             assert f"{section}.{key}" in err
 
+    def test_gain_at_threshold_names_pump_value(self, capsys, tmp_path):
+        path = _write_config(tmp_path, lambda raw: raw["pump"].update(value=1e33))
+        code, out, err = _run(capsys, "predict", path)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: pump.value: ")
+
     def test_missing_config_exits_2(self, capsys):
         code, _, err = _run(capsys, "predict", "/nonexistent/config.json")
         assert code == EXIT_VALIDATION
@@ -419,6 +425,14 @@ class TestBenchmarkDataset:
             assert code == EXIT_VALIDATION
             assert out == "" and err.startswith("error: crystal_2.")
 
+    def test_malformed_json_dataset_is_named(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"crystals": [')
+        for mode in ("--list", "--check"):
+            code, out, err = _run(capsys, "paper", mode, "--dataset", str(path))
+            assert (code, out) == (EXIT_VALIDATION, "")
+            assert err.startswith(f"error: {path}: not valid JSON: ")
+
     def test_list_and_check_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["paper", "--list", "--check"])
@@ -564,6 +578,17 @@ class TestImportGate:
             "from sqzopo import *\n"
             "degrade_quadrature(QuadratureVariances(21.2, 0.15), PhaseNoiseModel(0.075))\n"
             f"print({_LOADED})\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
+
+    def test_cli_import_loads_no_typing_or_resources(self):
+        # -S keeps site-packages' .pth files from importing either first.
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import sys; sys.path.insert(0, {str(SRC)!r}); import sqzopo.cli; "
+             "print([m for m in ('typing', 'importlib.resources') if m in sys.modules])"],
+            capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]"]

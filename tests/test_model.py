@@ -137,6 +137,11 @@ class TestPumpParameter:
         with pytest.raises(ValueError):
             PumpOperatingPoint.from_x(-0.1)
 
+    def test_gain_rounding_x_to_one_rejected(self):
+        # 1 - 1/sqrt(1e33) rounds to exactly 1.0, the threshold itself
+        with pytest.raises(ValueError, match=r"\[0, 1\), got 1\.0"):
+            PumpOperatingPoint.from_gain(1e33)
+
     def test_representation_equivalence_grid(self):
         # gain and power descriptions agree whenever G = 1/(1 - sqrt(P/P_th))^2
         for gain in np.linspace(1.0, 60.0, 25):

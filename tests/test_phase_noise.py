@@ -116,15 +116,11 @@ class TestDegradeQuadrature:
             assert out.r_plus == pytest.approx(1.0, rel=1e-12)
             assert out.r_minus == pytest.approx(1.0, rel=1e-12)
 
-    def test_too_few_nodes_rejected(self):
-        with pytest.raises(ValueError, match="16"):
-            degrade_quadrature(R_QUOTED, PhaseNoiseModel(0.1), nodes=8)
-
     def test_nonconvergence_reported(self):
         with pytest.warns(UserWarning):
-            wild = PhaseNoiseModel(3.0)
+            wild = PhaseNoiseModel(5.0)
         with pytest.raises(QuadratureConvergenceError):
-            degrade_quadrature(R_QUOTED, wild, nodes=16)
+            degrade_quadrature(R_QUOTED, wild)
 
 
 class TestSharedInvariants:
