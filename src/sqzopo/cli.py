@@ -22,7 +22,7 @@ from .calibration import (
     fit_joint,
     fit_theta,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _require
 from .dataset import crystal, load_dataset
 from .langevin import LangevinConfig, simulate_output_spectrum
 from .model import (
@@ -112,7 +112,10 @@ def _sweep_threshold_mw(args: argparse.Namespace, cfg: ExperimentConfig) -> floa
             power_mw, gain = float(power_s), float(gain_s)
         except ValueError as err:
             raise ConfigError("--anchor", f"expected 'P_mW:G', got {args.anchor!r}") from err
-        x = PumpOperatingPoint.from_gain(gain).x
+        try:
+            x = PumpOperatingPoint.from_gain(gain).x
+        except ValueError as err:
+            raise ConfigError("--anchor", str(err)) from err
         if x == 0.0:
             raise ConfigError("--anchor", "gain 1 carries no threshold information")
         if not 0.0 < power_mw < math.inf:
@@ -252,6 +255,7 @@ CHECK_TOL_ANTI_DB = 0.05
 def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     """Evaluate the full reproduction pipeline against the dataset records.
 
+    Each record is required where a check reads it, and nowhere else.
     Returns one (name, passed, detail) triple per check, in order.
     """
     derived = cfg.derived()
@@ -262,33 +266,30 @@ def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str
         results.append((name, ok, f"got {got:.4f}, expected {expected} +/- {tol}"))
         return ok
 
-    def build(name: str, make):
+    def read(name: str, field: str = "value", make=lambda value: value):
+        value = _require(_require(records, "crystal_1", name), f"crystal_1.{name}", field)
         # A record the domain object rejects is named like a malformed one.
         try:
-            return make(records[name]["value"])
+            return make(value)
         except ValueError as err:
             raise ConfigError(f"crystal_1.{name}", str(err)) from err
 
-    check("escape efficiency", derived["rho"], records["rho"]["value"], CHECK_TOL_EFFICIENCY)
-    check("detection efficiency", derived["alpha"], records["alpha"]["value"], CHECK_TOL_EFFICIENCY)
-    check("detuning", derived["detuning"], records["detuning"]["value"], CHECK_TOL_EFFICIENCY)
+    rho, alpha, omega_ratio = read("rho"), read("alpha"), read("detuning")
+    check("escape efficiency", derived["rho"], rho, CHECK_TOL_EFFICIENCY)
+    check("detection efficiency", derived["alpha"], alpha, CHECK_TOL_EFFICIENCY)
+    check("detuning", derived["detuning"], omega_ratio, CHECK_TOL_EFFICIENCY)
 
     # Predictions are evaluated at the quoted calibration values, not the
     # recomputed ones, so each check isolates one claim.
-    x = build("gain", lambda gain: PumpOperatingPoint.from_gain(gain).x)
-    predicted = forward_variances(
-        records["alpha"]["value"],
-        records["rho"]["value"],
-        x,
-        records["detuning"]["value"],
-    )
-    jitter = build("theta_rms_deg", PhaseNoiseModel.from_degrees)
+    x = read("gain", make=lambda gain: PumpOperatingPoint.from_gain(gain).x)
+    predicted = forward_variances(alpha, rho, x, omega_ratio)
+    jitter = read("theta_rms_deg", make=PhaseNoiseModel.from_degrees)
     for name, prefix, r in (
         ("jitter-free prediction", "predicted", predicted),
         ("jitter-corrected prediction", "corrected", degrade_exact(predicted, jitter)),
     ):
-        sq_db = records[f"{prefix}_squeezing_db"]["value"]
-        asq_db = records[f"{prefix}_anti_squeezing_db"]["value"]
+        sq_db = read(f"{prefix}_squeezing_db")
+        asq_db = read(f"{prefix}_anti_squeezing_db")
         ok = (
             abs(r.r_minus_db - sq_db) <= CHECK_TOL_SQUEEZING_DB
             and abs(r.r_plus_db - asq_db) <= CHECK_TOL_ANTI_DB
@@ -298,23 +299,23 @@ def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str
 
     # Correction step: the configured clearance must map the raw measured
     # level onto the quoted inferred one before the inferred level is fit.
-    inferred = records["inferred_squeezing_db"]
+    inferred_db = read("inferred_squeezing_db")
     ok_corr = True
     corr_note = "no clearance configured, correction step skipped"
     if cfg.dark_clearance_db is not None:
         corrected_db = dark_noise_correct(
-            records["measured_squeezing_db"]["value"], from_db(cfg.dark_clearance_db)
+            read("measured_squeezing_db"), from_db(cfg.dark_clearance_db)
         )
-        ok_corr = abs(corrected_db - inferred["value"]) <= inferred["uncertainty"]
-        corr_note = f"corrected raw level {corrected_db:.2f} dB vs {inferred['value']} dB"
+        ok_corr = abs(corrected_db - inferred_db) <= read("inferred_squeezing_db", "uncertainty")
+        corr_note = f"corrected raw level {corrected_db:.2f} dB vs {inferred_db} dB"
 
     measured = MeasuredLevels(
-        squeezing_db=inferred["value"],
-        anti_squeezing_db=records["inferred_anti_squeezing_db"]["value"],
+        squeezing_db=inferred_db,
+        anti_squeezing_db=read("inferred_anti_squeezing_db"),
     )
     fit = fit_theta(measured, predicted)
-    expected_theta = records["theta_rms_deg"]["value"]
-    theta_tol = records["theta_rms_deg"]["uncertainty"]
+    expected_theta = read("theta_rms_deg")
+    theta_tol = read("theta_rms_deg", "uncertainty")
     ok = (
         ok_corr
         and fit.status == "ok"

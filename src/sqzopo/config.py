@@ -67,6 +67,14 @@ def _require(section: dict, section_name: str, key: str) -> object:
     return section[key]
 
 
+def _read_json(path: str | Path) -> object:
+    """Parse a JSON file; a file that cannot be decoded or parsed is named."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError alike
+        raise ConfigError(str(path), f"not valid JSON: {err}") from err
+
+
 def _number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
@@ -129,11 +137,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> ExperimentConfig:
-        try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError("<file>", f"not valid JSON: {err}") from err
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json(path))
 
     def to_dict(self) -> dict:
         """Inverse of :meth:`from_dict`; optional fields are emitted only

@@ -11,10 +11,9 @@ so a reproduction run can be audited value by value.
 from __future__ import annotations
 
 import copy
-import json
 from pathlib import Path
 
-from .config import ConfigError, _number, _require
+from .config import ConfigError, _number, _read_json, _require
 
 REFERENCE_DATASET: dict = {
     "experiment": "946 nm PPKTP sub-threshold OPO squeezed vacuum",
@@ -112,24 +111,6 @@ REFERENCE_DATASET: dict = {
 }
 
 
-# The crystal_1 records the reproduction check reads, each mapped to
-# whether its uncertainty is read as well.
-CHECKED_RECORDS = {
-    "rho": False,
-    "alpha": False,
-    "detuning": False,
-    "gain": False,
-    "predicted_squeezing_db": False,
-    "predicted_anti_squeezing_db": False,
-    "theta_rms_deg": True,
-    "corrected_squeezing_db": False,
-    "corrected_anti_squeezing_db": False,
-    "measured_squeezing_db": False,
-    "inferred_squeezing_db": True,
-    "inferred_anti_squeezing_db": False,
-}
-
-
 def load_dataset(path: str | Path | None = None) -> dict:
     """Return a copy of the embedded dataset, or load a replacement from a
     JSON file with the same structure.
@@ -137,16 +118,12 @@ def load_dataset(path: str | Path | None = None) -> dict:
     Every crystal of a replacement needs a string ``name`` and a
     ``records`` object.  Each record needs a finite numeric ``value``, a
     finite numeric ``uncertainty`` where one is given, and a string
-    ``anchor``.  crystal_1 must also hold every record in
-    :data:`CHECKED_RECORDS`, with an ``uncertainty`` where it is read.
-    :class:`ConfigError` names the first field that does not comply.
+    ``anchor``.  :class:`ConfigError` names the first field that does not
+    comply; which records a check needs is up to the check that reads them.
     """
     if path is None:
         return copy.deepcopy(REFERENCE_DATASET)
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(str(path), f"not valid JSON: {err}") from err
+    data = _read_json(path)
     crystals = data.get("crystals") if isinstance(data, dict) else None
     if not isinstance(crystals, list) or not all(isinstance(c, dict) for c in crystals):
         raise ConfigError(str(path), "not a reference dataset (no 'crystals' list)")
@@ -165,13 +142,6 @@ def load_dataset(path: str | Path | None = None) -> dict:
                 _number(record["uncertainty"], f"{where}.uncertainty")
             if not isinstance(_require(record, where, "anchor"), str):
                 raise ConfigError(f"{where}.anchor", "expected a string")
-    records = next((c["records"] for c in crystals if c["name"] == "crystal_1"), None)
-    if records is None:
-        raise ConfigError("crystal_1", "missing, or without a 'records' object")
-    for name, with_uncertainty in CHECKED_RECORDS.items():
-        record = _require(records, "crystal_1", name)
-        if with_uncertainty:
-            _require(record, f"crystal_1.{name}", "uncertainty")
     return data
 
 
@@ -180,4 +150,4 @@ def crystal(dataset: dict, name: str) -> dict:
     for entry in dataset["crystals"]:
         if entry.get("name") == name:
             return entry["records"]
-    raise KeyError(f"no crystal named {name!r} in dataset")
+    raise ConfigError(name, "missing, or without a 'records' object")

@@ -27,6 +27,11 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 PUMP_X_MAX = 1.0 - 1e-9
 
 
+def _check_pump_parameter(x: float) -> None:
+    if not 0.0 <= x <= PUMP_X_MAX:
+        raise ValueError(f"pump parameter x must be in [0, {PUMP_X_MAX}], got {x}")
+
+
 def to_db(linear: float) -> float:
     """Convert a linear power ratio to dB relative to shot noise."""
     if linear <= 0.0:
@@ -86,8 +91,8 @@ class DetectionChain:
 
 @dataclass(frozen=True)
 class PumpOperatingPoint:
-    """How hard the OPO is pumped: the pump parameter x in [0, 1), built
-    from one of three equivalent readings -- x itself, the classical
+    """How hard the OPO is pumped: the pump parameter x in [0, PUMP_X_MAX],
+    built from one of three equivalent readings -- x itself, the classical
     parametric amplification gain G = 1/(1-x)^2, or a pump power with its
     oscillation threshold (x = sqrt(P/P_th)).
 
@@ -98,8 +103,7 @@ class PumpOperatingPoint:
     x: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.x < 1.0:
-            raise ValueError(f"pump parameter x must be in [0, 1), got {self.x}")
+        _check_pump_parameter(self.x)
 
     @classmethod
     def from_x(cls, x: float) -> PumpOperatingPoint:
@@ -179,14 +183,13 @@ def detuning(omega: float, cavity: OpoCavity) -> float:
 
 
 def pump_parameter(op: PumpOperatingPoint) -> float:
-    """Normalized pump parameter x in [0, 1) of an operating point."""
+    """Normalized pump parameter x in [0, PUMP_X_MAX] of an operating point."""
     return op.x
 
 
 def gain_from_x(x: float) -> float:
     """Classical parametric amplification gain G = 1/(1-x)^2."""
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"pump parameter x must be in [0, 1), got {x}")
+    _check_pump_parameter(x)
     return 1.0 / (1.0 - x) ** 2
 
 
@@ -203,8 +206,7 @@ def forward_variances(
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    if not 0.0 <= x <= PUMP_X_MAX:
-        raise ValueError(f"pump parameter x must be in [0, {PUMP_X_MAX}], got {x}")
+    _check_pump_parameter(x)
     if detuning < 0.0:
         raise ValueError(f"detuning must be >= 0, got {detuning}")
     four_om2 = 4.0 * detuning * detuning

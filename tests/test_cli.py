@@ -106,10 +106,20 @@ class TestPredict:
             assert f"{section}.{key}" in err
 
     def test_gain_at_threshold_names_pump_value(self, capsys, tmp_path):
-        path = _write_config(tmp_path, lambda raw: raw["pump"].update(value=1e33))
-        code, out, err = _run(capsys, "predict", path)
+        # x = 1.0 exactly, then x between PUMP_X_MAX and 1: all rejected at load
+        for mode, value in (("gain", 1e33), ("gain", 1e20), ("x", 0.9999999999)):
+            path = _write_config(tmp_path, lambda raw: raw.update(pump={"mode": mode, "value": value}))
+            code, out, err = _run(capsys, "predict", path)
+            assert (code, out) == (EXIT_VALIDATION, ""), value
+            assert err.startswith("error: pump.value: pump parameter x must be in [0, 0.999999999], ")
+
+    @pytest.mark.parametrize("content", [b'{"cavity": ', b"\x80\xff\xfe"], ids=["malformed", "binary"])
+    def test_undecodable_config_is_named(self, capsys, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        code, out, err = _run(capsys, "predict", str(path))
         assert (code, out) == (EXIT_VALIDATION, "")
-        assert err.startswith("error: pump.value: ")
+        assert err.startswith(f"error: {path}: not valid JSON: ")
 
     def test_missing_config_exits_2(self, capsys):
         code, _, err = _run(capsys, "predict", "/nonexistent/config.json")
@@ -196,6 +206,14 @@ class TestSweep:
                 capsys, "sweep", CONFIG, "--pmin", "50", "--pmax", "450", "--anchor", anchor
             )
             assert code == EXIT_VALIDATION, (anchor, out)
+
+    @pytest.mark.parametrize("anchor", ["250:0.5", "250:1e33", "250:1e20"])
+    def test_rejected_anchor_gain_is_named(self, capsys, anchor):
+        code, out, err = _run(
+            capsys, "sweep", CONFIG, "--pmin", "50", "--pmax", "200", "--anchor", anchor
+        )
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: --anchor: ")
 
     def test_non_finite_arguments_exit_2(self, capsys):
         for extra in (("--pmin", "nan"), ("--pmax", "nan"), ("--pmax", "inf"),
@@ -407,6 +425,31 @@ class TestBenchmarkDataset:
             assert err
 
     @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (lambda c1: c1["records"].pop("gain"), "crystal_1.gain: "),
+            (lambda c1: c1["records"]["theta_rms_deg"].pop("uncertainty"),
+             "crystal_1.theta_rms_deg.uncertainty: "),
+            (lambda c1: c1.update(name="crystal_3"), "crystal_1: "),
+            # of two missing records, the one the check reads first is named
+            (lambda c1: [c1["records"].pop(k)
+                         for k in ("predicted_squeezing_db", "theta_rms_deg")],
+             "crystal_1.theta_rms_deg: "),
+        ],
+        ids=["missing-record", "missing-uncertainty", "no-crystal-1", "two-missing"],
+    )
+    def test_list_needs_only_well_formed_records(self, capsys, tmp_path, corrupt, named):
+        data = load_dataset()
+        corrupt(data["crystals"][0])
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = _run(capsys, "paper", "--list", "--dataset", str(path))
+        assert code == EXIT_OK and "crystal_2:" in out
+        code, out, err = _run(capsys, "paper", "--check", "--dataset", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"error: {named}")
+
+    @pytest.mark.parametrize(
         "corrupt",
         [
             lambda recs: recs["inferred_squeezing_db"].pop("anchor"),
@@ -427,11 +470,12 @@ class TestBenchmarkDataset:
 
     def test_malformed_json_dataset_is_named(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"crystals": [')
-        for mode in ("--list", "--check"):
-            code, out, err = _run(capsys, "paper", mode, "--dataset", str(path))
-            assert (code, out) == (EXIT_VALIDATION, "")
-            assert err.startswith(f"error: {path}: not valid JSON: ")
+        for content in (b'{"crystals": [', b"\x80\xff\xfe"):  # truncated, not UTF-8
+            path.write_bytes(content)
+            for mode in ("--list", "--check"):
+                code, out, err = _run(capsys, "paper", mode, "--dataset", str(path))
+                assert (code, out) == (EXIT_VALIDATION, ""), content
+                assert err.startswith(f"error: {path}: not valid JSON: ")
 
     def test_list_and_check_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

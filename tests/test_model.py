@@ -139,7 +139,7 @@ class TestPumpParameter:
 
     def test_gain_rounding_x_to_one_rejected(self):
         # 1 - 1/sqrt(1e33) rounds to exactly 1.0, the threshold itself
-        with pytest.raises(ValueError, match=r"\[0, 1\), got 1\.0"):
+        with pytest.raises(ValueError, match=r"\[0, 0\.999999999\], got 1\.0"):
             PumpOperatingPoint.from_gain(1e33)
 
     def test_representation_equivalence_grid(self):
