@@ -17,6 +17,7 @@ from .model import (
     DetectionChain,
     OpoCavity,
     PumpOperatingPoint,
+    _check_detuning,
     cavity_decay_rate,
     detection_efficiency,
     detuning,
@@ -172,6 +173,10 @@ class ExperimentConfig:
             raise ConfigError("noise.theta_rms_deg", str(err)) from err
         if self.frequency_hz < 0:
             raise ConfigError("measurement.frequency_hz", "must be >= 0")
+        try:
+            _check_detuning(detuning(self.omega(), self.opo_cavity()))
+        except ValueError as err:
+            raise ConfigError("measurement.frequency_hz", str(err)) from err
 
     # -- domain objects -------------------------------------------------
 

@@ -32,6 +32,13 @@ def _check_pump_parameter(x: float) -> None:
         raise ValueError(f"pump parameter x must be in [0, {PUMP_X_MAX}], got {x}")
 
 
+def _check_detuning(detuning: float) -> None:
+    # A finite 4 Omega^2 keeps both denominators of the forward model finite,
+    # so R+- is never inf/inf.
+    if not (detuning >= 0.0 and 4.0 * detuning * detuning < math.inf):
+        raise ValueError(f"detuning must be >= 0 with 4 detuning^2 finite, got {detuning}")
+
+
 def to_db(linear: float) -> float:
     """Convert a linear power ratio to dB relative to shot noise."""
     if linear <= 0.0:
@@ -41,7 +48,10 @@ def to_db(linear: float) -> float:
 
 def from_db(level_db: float) -> float:
     """Convert a dB level back to a linear power ratio."""
-    return 10.0 ** (level_db / 10.0)
+    try:
+        return 10.0 ** (level_db / 10.0)
+    except OverflowError as err:
+        raise ValueError(f"level {level_db} dB has no finite linear power ratio") from err
 
 
 @dataclass(frozen=True)
@@ -137,17 +147,17 @@ class QuadratureVariances:
     """Linear shot-noise-normalized variance pair (anti-squeezed, squeezed).
 
     The forward model produces r_plus >= 1 >= r_minus > 0; phase-noise
-    mixing of a pair can legitimately swap the ordering, so only positivity
-    is enforced here.
+    mixing of a pair can legitimately swap the ordering, so only finite
+    positive values are enforced here.
     """
 
     r_plus: float
     r_minus: float
 
     def __post_init__(self) -> None:
-        if self.r_plus <= 0.0 or self.r_minus <= 0.0:
+        if not (0.0 < self.r_plus < math.inf and 0.0 < self.r_minus < math.inf):
             raise ValueError(
-                f"variances must be > 0, got ({self.r_plus}, {self.r_minus})"
+                f"variances must be finite and > 0, got ({self.r_plus}, {self.r_minus})"
             )
 
     @property
@@ -207,8 +217,7 @@ def forward_variances(
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     _check_pump_parameter(x)
-    if detuning < 0.0:
-        raise ValueError(f"detuning must be >= 0, got {detuning}")
+    _check_detuning(detuning)
     four_om2 = 4.0 * detuning * detuning
     plus_den = (1.0 - x) ** 2 + four_om2
     minus_den = (1.0 + x) ** 2 + four_om2

@@ -94,16 +94,19 @@ class TestPredict:
         code, _, err = _run(capsys, "predict", path)
         assert code == EXIT_VALIDATION
         assert "cavity" in err
-        # json parses the NaN / Infinity literals; they must not reach a report
-        for section, key, value in (
-            ("measurement", "frequency_hz", math.inf),
-            ("noise", "theta_rms_deg", math.nan),
-            ("cavity", "T", -math.inf),
+        # json parses the NaN / Infinity literals; they must not reach a report,
+        # nor may finite values whose linear power or 4 Omega^2 overflows
+        for section, key, value, named in (
+            ("measurement", "frequency_hz", math.inf, "measurement.frequency_hz"),
+            ("noise", "theta_rms_deg", math.nan, "noise.theta_rms_deg"),
+            ("cavity", "T", -math.inf, "cavity.T"),
+            ("measurement", "frequency_hz", 1e200, "measurement.frequency_hz"),
+            ("detection", "dark_clearance_db", 1e308, "detection"),
         ):
             path = _write_config(tmp_path, lambda raw: raw[section].update({key: value}))
             code, out, err = _run(capsys, "predict", path, "--corrected")
-            assert code == EXIT_VALIDATION, (key, out)
-            assert f"{section}.{key}" in err
+            assert (code, out) == (EXIT_VALIDATION, ""), (key, value)
+            assert err.startswith(f"error: {named}: ") and err.count("\n") == 1, err
 
     def test_gain_at_threshold_names_pump_value(self, capsys, tmp_path):
         # x = 1.0 exactly, then x between PUMP_X_MAX and 1: all rejected at load
@@ -254,13 +257,15 @@ class TestCorrect:
     def test_nonnegative_clearance_exits_2(self, capsys):
         code, _, _ = _run(capsys, "correct", "--level-db", "-5.6", "--clearance-db", "3")
         assert code == EXIT_VALIDATION
+        # 1e308 dB is finite, but its linear power overflows
         for level, clearance in (("nan", "-17.75"), ("inf", "-17.75"), ("nan", "-inf"),
-                                 ("-5.6", "nan")):
-            code, out, _ = _run(
+                                 ("-5.6", "nan"), ("1e308", "-20")):
+            code, out, err = _run(
                 capsys, "correct", f"--level-db={level}", f"--clearance-db={clearance}"
             )
             assert code == EXIT_VALIDATION, (level, clearance, out)
             assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestFit:
@@ -311,12 +316,15 @@ class TestFit:
 
     @pytest.mark.parametrize("joint", [False, True])
     def test_non_finite_levels_exit_2(self, capsys, joint):
+        # the joint fit also reads the anti-squeezing level, whose linear power
+        # overflows at 4000 dB
         for sq, asq in (("nan", "12.72"), ("-inf", "12.72"), ("-5.80", "nan"),
-                        ("-5.80", "inf")):
+                        ("-5.80", "inf")) + (("-5.80", "4000"),) * joint:
             argv = ["fit", CONFIG, f"--sq-db={sq}", f"--asq-db={asq}"] + ["--joint"] * joint
             code, out, err = _run(capsys, *argv)
             assert code == EXIT_VALIDATION, (sq, asq, out)
             assert out == "" and "finite" in err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestOracle:

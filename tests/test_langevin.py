@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ class TestDeterminism:
 
 
 class TestConcurrency:
-    """Segments run in blocks of four; each CPU's thread, bound to that CPU,
+    """Segments run in blocks of two; each CPU's thread, bound to that CPU,
     takes the next block left when it finishes one."""
 
     @pytest.mark.parametrize("steps", [4096, 2101])
@@ -146,7 +147,7 @@ class TestConcurrency:
         assert all(run == runs[0] for run in runs[1:])
 
     def test_worker_error_reaches_caller(self, monkeypatch):
-        # segment 5 lies in the second block, which one of two workers takes
+        # segment 5 lies in the third block, which one of two workers takes
         real = langevin._segment_rng
 
         def failing(seed, segment, stream):
@@ -175,7 +176,7 @@ class TestConcurrency:
         monkeypatch.setattr(langevin, "_segment_rng", failing)
         with pytest.raises(RuntimeError, match="segment 0"):
             simulate_output_spectrum(_config(0.5, seed=1, segments=256, steps=32768), [0.1 * GAMMA])
-        assert len(drawn) < 128  # without the stop, 253: all but segments 1-3
+        assert len(drawn) < 128  # without the stop, 255: all but segment 1
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}, {0, 1, 2}])
     def test_each_worker_thread_bound_to_its_own_cpu(self, monkeypatch, cpus):
@@ -191,6 +192,27 @@ class TestConcurrency:
         assert sorted((mask for _, mask in bound), key=min) == [{cpu} for cpu in sorted(cpus)]
         threads = {thread for thread, _ in bound}
         assert len(threads) == len(bound) and threading.current_thread() not in threads
+
+
+class TestWorkingSet:
+    def test_one_two_segment_block_per_worker(self, monkeypatch):
+        # criterion 9's shape on 2 CPUs: each worker's draws and rfft for one
+        # block of two segments (32 bytes a step a segment each), the tail
+        # powers (16 a step) and the estimates (16 a segment a frequency)
+        monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1})
+        workers, steps, segments = 2, 32768, 32
+        omegas = [k * 0.1 * GAMMA for k in range(16)]
+        cfg = _config(0.5, seed=3, segments=segments, steps=steps)
+        # a first call loads numpy.random and numpy.fft, which the peak leaves out
+        simulate_output_spectrum(_config(0.5, seed=3, segments=8, steps=2048), omegas[:1])
+        tracemalloc.start()
+        try:
+            simulate_output_spectrum(cfg, omegas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 64 * workers * steps + 16 * steps + 16 * segments * len(omegas)
+        assert peak <= 1.05 * bound
 
 
 class TestPhysics:

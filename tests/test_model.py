@@ -220,6 +220,13 @@ class TestForwardVariances:
         assert all(b > a for a, b in zip(plus, plus[1:]))
         assert all(b < a for a, b in zip(minus, minus[1:]))
 
+    def test_detuning_with_infinite_square_rejected(self):
+        # 4 Omega^2 overflows from Omega ~ 1e154 on: R+- would read inf/inf
+        for omega_ratio in (1e154, 1e200, math.inf, math.nan):
+            with pytest.raises(ValueError, match="detuning"):
+                forward_variances(0.9, 0.9, 0.6, omega_ratio)
+        assert forward_variances(0.9, 0.9, 0.6, 1e153).r_plus == 1.0
+
     def test_detuning_washout(self):
         on = forward_variances(0.9, 0.9, 0.6, 0.0)
         far = forward_variances(0.9, 0.9, 0.6, 1e6)
@@ -248,6 +255,13 @@ class TestDbConversion:
         with pytest.raises(ValueError):
             to_db(-2.0)
 
+    def test_level_beyond_float_range_rejected(self):
+        # 10^(x/10) overflows: a ValueError, not an OverflowError
+        for level in (4000.0, 1e308):
+            with pytest.raises(ValueError, match="no finite linear power ratio"):
+                from_db(level)
+        assert from_db(math.inf) == math.inf and from_db(-math.inf) == 0.0
+
 
 class TestTypeInvariants:
     def test_cavity_validation(self):
@@ -273,3 +287,6 @@ class TestTypeInvariants:
             QuadratureVariances(r_plus=0.0, r_minus=0.5)
         with pytest.raises(ValueError):
             QuadratureVariances(r_plus=2.0, r_minus=-0.5)
+        for r_plus, r_minus in ((math.nan, 0.5), (2.0, math.nan), (math.inf, 0.5)):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                QuadratureVariances(r_plus=r_plus, r_minus=r_minus)
