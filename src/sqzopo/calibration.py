@@ -45,6 +45,12 @@ class MeasuredLevels:
                 f"squeezing level must be finite and below shot noise, got "
                 f"{self.squeezing_db} dB"
             )
+        # Below about -3233 dB the linear ratio underflows to 0, and the fits'
+        # squared dB residuals overflow.
+        if from_db(self.squeezing_db) == 0.0:
+            raise ValueError(
+                f"squeezing level {self.squeezing_db} dB has no positive linear power ratio"
+            )
         if self.anti_squeezing_db is not None and not 0.0 < self.anti_squeezing_db < math.inf:
             raise ValueError(
                 f"anti-squeezing level must be finite and above shot noise, got "

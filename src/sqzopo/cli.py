@@ -22,7 +22,7 @@ from .calibration import (
     fit_joint,
     fit_theta,
 )
-from .config import ConfigError, ExperimentConfig, _require
+from .config import ConfigError, ExperimentConfig, _named, _require
 from .dataset import crystal, load_dataset
 from .langevin import LangevinConfig, simulate_output_spectrum
 from .model import (
@@ -112,10 +112,7 @@ def _sweep_threshold_mw(args: argparse.Namespace, cfg: ExperimentConfig) -> floa
             power_mw, gain = float(power_s), float(gain_s)
         except ValueError as err:
             raise ConfigError("--anchor", f"expected 'P_mW:G', got {args.anchor!r}") from err
-        try:
-            x = PumpOperatingPoint.from_gain(gain).x
-        except ValueError as err:
-            raise ConfigError("--anchor", str(err)) from err
+        x = _named("--anchor", PumpOperatingPoint.from_gain, gain).x
         if x == 0.0:
             raise ConfigError("--anchor", "gain 1 carries no threshold information")
         if not 0.0 < power_mw < math.inf:
@@ -269,10 +266,7 @@ def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str
     def read(name: str, field: str = "value", make=lambda value: value):
         value = _require(_require(records, "crystal_1", name), f"crystal_1.{name}", field)
         # A record the domain object rejects is named like a malformed one.
-        try:
-            return make(value)
-        except ValueError as err:
-            raise ConfigError(f"crystal_1.{name}", str(err)) from err
+        return _named(f"crystal_1.{name}", make, value)
 
     rho, alpha, omega_ratio = read("rho"), read("alpha"), read("detuning")
     check("escape efficiency", derived["rho"], rho, CHECK_TOL_EFFICIENCY)

@@ -76,6 +76,17 @@ def _read_json(path: str | Path) -> object:
         raise ConfigError(str(path), f"not valid JSON: {err}") from err
 
 
+def _named(path: str, build, *args):
+    """``build(*args)``, with a ValueError it raises reported against the
+    input field ``path``; a ConfigError already names its own field."""
+    try:
+        return build(*args)
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(path, str(err)) from err
+
+
 def _number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
@@ -153,30 +164,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Build every domain object once, mapping any violation to the
         offending configuration field."""
-        try:
-            self.opo_cavity()
-        except ValueError as err:
-            raise ConfigError("cavity", str(err)) from err
-        try:
-            self.detection_chain()
-        except ValueError as err:
-            raise ConfigError("detection", str(err)) from err
-        if self.pump_mode == "power" and self.threshold_mW is None:
-            raise ConfigError("pump.threshold_mW", "required when pump.mode is 'power'")
-        try:
-            self.pump_operating_point()
-        except ValueError as err:
-            raise ConfigError("pump.value", str(err)) from err
-        try:
-            self.phase_noise()
-        except ValueError as err:
-            raise ConfigError("noise.theta_rms_deg", str(err)) from err
+        cavity = _named("cavity", self.opo_cavity)
+        _named("detection", self.detection_chain)
+        _named("pump.value", self.pump_operating_point)
+        _named("noise.theta_rms_deg", self.phase_noise)
         if self.frequency_hz < 0:
             raise ConfigError("measurement.frequency_hz", "must be >= 0")
-        try:
-            _check_detuning(detuning(self.omega(), self.opo_cavity()))
-        except ValueError as err:
-            raise ConfigError("measurement.frequency_hz", str(err)) from err
+        _named("measurement.frequency_hz", _check_detuning, detuning(self.omega(), cavity))
 
     # -- domain objects -------------------------------------------------
 

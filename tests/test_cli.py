@@ -326,6 +326,22 @@ class TestFit:
             assert out == "" and "finite" in err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            ["--sq-db=-1e308", "--asq-db=12"],
+            ["--sq-db=-1e200", "--asq-db=12", "--joint"],
+            ["--sq-db=-4000", "--asq-db=12", "--joint"],
+        ],
+    )
+    def test_squeezing_without_linear_ratio_exits_2(self, capsys, levels):
+        # Below about -3233 dB the linear power ratio underflows to 0: the
+        # squared dB residual would overflow, or the joint fit would report
+        # a pump at threshold with status ok.
+        code, out, err = _run(capsys, "fit", CONFIG, *levels)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: squeezing level ") and err.count("\n") == 1
+
 
 class TestOracle:
     def test_csv_schema(self, capsys):
@@ -491,9 +507,9 @@ class TestBenchmarkDataset:
         assert exc.value.code == EXIT_VALIDATION
 
 
-# Exact stdout on the shipped gain-mode config.  The reports are plain
-# float arithmetic, so any change to a column, its order or its formatting
-# shows up here.
+# Exact stdout on the shipped gain-mode config and dataset.  The reports are
+# plain float arithmetic, so any change to a column, its order or its
+# formatting, or to a value or anchor of the dataset, shows up here.
 PINNED_OUTPUT = {
     "predict-corrected-csv": (
         ["predict", CONFIG, "--corrected", "--format", "csv"],
@@ -536,6 +552,46 @@ PINNED_OUTPUT = {
         "expected (-5.68, 13.25) dB\n"
         "PASS  [6] jitter recovery from measured squeezing: got 4.22 deg, "
         "expected 4.3 +/- 0.6 deg (corrected raw level -5.80 dB vs -5.8 dB)\n",
+    ),
+    "paper-list": (
+        ["paper", "--list"],
+        "946 nm PPKTP sub-threshold OPO squeezed vacuum\n"
+        "\n"
+        "crystal_1:\n"
+        "  measured_squeezing_db = -5.6 +/- 0.1\n"
+        "      [squeezed-quadrature noise power at 250 mW pump, "
+        "zero-span 1 MHz, 30-trace average, circuit noise not removed]\n"
+        "  measured_anti_squeezing_db = 12.7 +/- 0.1\n"
+        "      [anti-squeezed-quadrature noise power at 250 mW pump, "
+        "zero-span 1 MHz, 30-trace average, circuit noise not removed]\n"
+        "  inferred_squeezing_db = -5.8 +/- 0.1\n"
+        "      [squeezing level after subtracting detector circuit noise]\n"
+        "  inferred_anti_squeezing_db = 12.72 +/- 0.1\n"
+        "      [anti-squeezing level after subtracting detector circuit noise]\n"
+        "  gain = 8.83\n"
+        "      [measured classical parametric amplification gain]\n"
+        "  theta_rms_deg = 4.3 +/- 0.6\n"
+        "      [total rms phase jitter from the error-signal noise of the locking circuits]\n"
+        "  alpha = 0.953\n"
+        "      [detection efficiency from zeta ~ 1, eta = 0.994, xi = 0.979]\n"
+        "  rho = 0.932\n"
+        "      [escape efficiency from T = 0.15, L = 0.011]\n"
+        "  detuning = 0.028\n"
+        "      [1 MHz sideband over the cavity decay rate c (T + L) / l with l = 0.214 m]\n"
+        "  predicted_squeezing_db = -8.2\n"
+        "      [jitter-free model prediction at the quoted (alpha, rho, G, detuning)]\n"
+        "  predicted_anti_squeezing_db = 13.27\n"
+        "      [jitter-free model prediction at the quoted (alpha, rho, G, detuning)]\n"
+        "  corrected_squeezing_db = -5.68 +/- 0.56\n"
+        "      [model prediction including 4.3 deg rms phase jitter]\n"
+        "  corrected_anti_squeezing_db = 13.25 +/- 0.1\n"
+        "      [model prediction including 4.3 deg rms phase jitter]\n"
+        "\n"
+        "crystal_2:\n"
+        "  inferred_squeezing_db = -5.73 +/- 0.1\n"
+        "      [repeat run with a second PPKTP crystal, after circuit-noise correction]\n"
+        "  inferred_anti_squeezing_db = 12.22 +/- 0.1\n"
+        "      [repeat run with a second PPKTP crystal, after circuit-noise correction]\n"
     ),
 }
 

@@ -1,5 +1,6 @@
 """Property-based round trips of the inverse problems: synthesize a reading
-with the forward model and jitter mix, invert it, and get the inputs back.
+with the forward model and jitter mix, invert it, and get the inputs back;
+any other finite reading fits with a finite residual or is rejected.
 The configuration boundary gets the same treatment: a parsed configuration
 serializes back to itself, and a non-finite number in any field is rejected.
 A one-step sweep at a configuration's own pump power reproduces predict.
@@ -25,13 +26,16 @@ from sqzopo.calibration import (
     fit_joint,
     fit_theta,
 )
-from sqzopo.cli import EXIT_OK, EXIT_VALIDATION, main
+from sqzopo.cli import EXIT_OK, EXIT_VALIDATION, main, packaged_config_path
 from sqzopo.config import ExperimentConfig
-from sqzopo.model import forward_variances
+from sqzopo.model import QuadratureVariances, forward_variances
 from sqzopo.phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
 
 # Fixed example sequence, so a run is reproducible and CI cannot flake.
 ROUND_TRIP = settings(max_examples=300, deadline=None, derandomize=True)
+
+# The shipped configuration's derived quantities.
+SHIPPED = ExperimentConfig.from_file(packaged_config_path()).derived()
 
 efficiency = st.floats(0.7, 0.99)
 operating_point = st.tuples(
@@ -74,6 +78,25 @@ def test_fit_theta_recovers_jitter(use_approx, point):
     assert fit.status == "ok"
     assert fit.iterations == 0
     assert fit.theta_rms == pytest.approx(theta, abs=1e-6)
+
+
+@pytest.mark.parametrize("use_approx", [False, True])
+@ROUND_TRIP
+@given(
+    sq_db=st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+    asq_db=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_any_finite_reading_fits_or_is_rejected(use_approx, sq_db, asq_db):
+    # Across the whole float range a reading either fits with a finite
+    # residual or is rejected as a ValueError (exit 2 at the CLI).
+    predicted = QuadratureVariances(SHIPPED["r_plus"], SHIPPED["r_minus"])
+    joint = (SHIPPED["alpha"], SHIPPED["rho"], SHIPPED["detuning"])
+    for fit, args in ((fit_theta, (predicted,)), (fit_joint, joint)):
+        try:
+            result = fit(MeasuredLevels(sq_db, asq_db), *args, use_approx=use_approx)
+        except ValueError:
+            continue
+        assert math.isfinite(result.residual)
 
 
 @ROUND_TRIP
