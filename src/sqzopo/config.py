@@ -2,8 +2,8 @@
 
 Boundary units follow lab convention -- angles in degrees, powers in mW,
 dark-noise clearance in dB -- and are converted to radians / watts / linear
-ratios when domain objects are built.  Serialization reproduces the parsed
-tree field-for-field.
+ratios when domain objects are built.  A configuration is checked by
+deriving it.  Serialization reproduces the parsed tree field-for-field.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .model import (
     DetectionChain,
     OpoCavity,
     PumpOperatingPoint,
-    _check_detuning,
     cavity_decay_rate,
     detection_efficiency,
     detuning,
@@ -144,7 +143,8 @@ class ExperimentConfig:
             else:
                 values[attr] = _number(_require(data[name], name, key), f"{name}.{key}")
         cfg = cls(**values)
-        cfg.validate()
+        cfg.derived()
+        _named("noise.theta_rms_deg", cfg.phase_noise)
         return cfg
 
     @classmethod
@@ -160,17 +160,6 @@ class ExperimentConfig:
             if value is not None:
                 tree.setdefault(section, {})[key] = value
         return tree
-
-    def validate(self) -> None:
-        """Build every domain object once, mapping any violation to the
-        offending configuration field."""
-        cavity = _named("cavity", self.opo_cavity)
-        _named("detection", self.detection_chain)
-        _named("pump.value", self.pump_operating_point)
-        _named("noise.theta_rms_deg", self.phase_noise)
-        if self.frequency_hz < 0:
-            raise ConfigError("measurement.frequency_hz", "must be >= 0")
-        _named("measurement.frequency_hz", _check_detuning, detuning(self.omega(), cavity))
 
     # -- domain objects -------------------------------------------------
 
@@ -208,18 +197,21 @@ class ExperimentConfig:
 
     def derived(self) -> dict[str, float]:
         """All scalar quantities the forward model needs, plus the predicted
-        variances, as one flat mapping."""
-        cavity = self.opo_cavity()
-        alpha = detection_efficiency(self.detection_chain())
+        variances, as one flat mapping; a violation names its config field."""
+        cavity = _named("cavity", self.opo_cavity)
+        alpha = detection_efficiency(_named("detection", self.detection_chain))
         rho = escape_efficiency(cavity)
-        gamma = cavity_decay_rate(cavity)
-        x = self.pump_operating_point().x
+        x = _named("pump.value", self.pump_operating_point).x
+        if self.frequency_hz < 0:
+            raise ConfigError("measurement.frequency_hz", "must be >= 0")
         omega_ratio = detuning(self.omega(), cavity)
-        variances = forward_variances(alpha, rho, x, omega_ratio)
+        variances = _named(
+            "measurement.frequency_hz", forward_variances, alpha, rho, x, omega_ratio
+        )
         return {
             "alpha": alpha,
             "rho": rho,
-            "gamma_rad_s": gamma,
+            "gamma_rad_s": cavity_decay_rate(cavity),
             "x": x,
             "gain": gain_from_x(x),
             "detuning": omega_ratio,

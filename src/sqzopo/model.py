@@ -74,6 +74,11 @@ class OpoCavity:
             raise ValueError(
                 f"round_trip_length must be > 0 m, got {self.round_trip_length}"
             )
+        gamma = cavity_decay_rate(self)
+        if not 0.0 < gamma < math.inf:
+            raise ValueError(
+                f"decay rate c (T + L) / l must be finite and > 0 rad/s, got {gamma}"
+            )
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def _mix(R: QuadratureVariances, lam: float) -> QuadratureVariances:
 def degrade_exact(R: QuadratureVariances, model: PhaseNoiseModel) -> QuadratureVariances:
     """Gaussian-averaged variances via the closed form
     E[cos(2 theta)] = exp(-2 theta_rms^2)."""
-    return _mix(R, math.exp(-2.0 * model.theta_rms**2))
+    return _mix(R, math.exp(-2.0 * model.theta_rms * model.theta_rms))
 
 
 def degrade_approx(R: QuadratureVariances, model: PhaseNoiseModel) -> QuadratureVariances:

@@ -116,6 +116,35 @@ class TestPredict:
             assert (code, out) == (EXIT_VALIDATION, ""), value
             assert err.startswith("error: pump.value: pump parameter x must be in [0, 0.999999999], ")
 
+    @pytest.mark.parametrize(
+        "cavity",
+        [{"T": 1e-300, "L": 0.0, "round_trip_m": 1e300}, {"round_trip_m": 1e-308},
+         {"round_trip_m": 5e-324}],
+        ids=["decay-rate-0", "decay-rate-inf", "decay-rate-inf-subnormal"],
+    )
+    def test_decay_rate_out_of_range_names_cavity(self, capsys, tmp_path, cavity):
+        path = _write_config(tmp_path, lambda raw: raw["cavity"].update(cavity))
+        for argv in (("predict", path, "--corrected"),
+                     ("sweep", path, "--pmin", "0", "--pmax", "100", "--anchor", "250:8.83")):
+            code, out, err = _run(capsys, *argv)
+            assert (code, out) == (EXIT_VALIDATION, ""), argv
+            assert err.startswith("error: cavity: decay rate c (T + L) / l must be finite and > 0")
+
+    def test_any_finite_jitter_width_gives_a_finite_report(self, capsys, tmp_path):
+        path = _write_config(tmp_path, lambda raw: raw["noise"].update(theta_rms_deg=1e308))
+        with pytest.warns(UserWarning, match="exceeds pi/4"):
+            code, out, _ = _run(capsys, "predict", path, "--corrected")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["r_plus_corrected_db"] == report["r_minus_corrected_db"] > 0.0
+        with pytest.warns(UserWarning, match="exceeds pi/4"):
+            code, out, _ = _run(capsys, "sweep", path, "--pmin", "0", "--pmax", "100",
+                                "--steps", "2", "--anchor", "250:8.83")
+        assert code == EXIT_OK
+        header, _, row = out.splitlines()
+        columns = dict(zip(header.split(","), row.split(",")))
+        assert columns["Rp_corr_dB"] == columns["Rm_corr_dB"]
+
     @pytest.mark.parametrize("content", [b'{"cavity": ', b"\x80\xff\xfe"], ids=["malformed", "binary"])
     def test_undecodable_config_is_named(self, capsys, tmp_path, content):
         path = tmp_path / "config.json"
@@ -439,6 +468,17 @@ class TestBenchmarkDataset:
         code, out, err = _run(capsys, "paper", "--check", "--dataset", str(path))
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith(f"error: crystal_1.{record}: ")
+
+    def test_check_with_huge_jitter_record_fails_its_criteria(self, capsys, tmp_path):
+        # A finite record far outside the model runs to FAIL lines, not a traceback.
+        data = load_dataset()
+        data["crystals"][0]["records"]["theta_rms_deg"]["value"] = 1e308
+        path = tmp_path / "huge_jitter.json"
+        path.write_text(json.dumps(data))
+        with pytest.warns(UserWarning, match="exceeds pi/4"):
+            code, out, _ = _run(capsys, "paper", "--check", "--dataset", str(path))
+        assert code == EXIT_CHECK_FAILED
+        assert [line[:4] for line in out.splitlines()] == ["PASS"] * 4 + ["FAIL"] * 2
 
     def test_check_without_crystal_1_exits_2(self, capsys, tmp_path):
         for data in ({"crystals": []}, {"crystals": {}}, [], {"crystals": [{"name": "crystal_1"}]}):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -156,6 +157,28 @@ class TestDerived:
         assert cfg.detection_chain().dark_clearance == pytest.approx(
             from_db(-17.75), rel=1e-12
         )
+
+    def test_names_the_offending_field(self):
+        cfg = ExperimentConfig.from_dict(_base_dict())
+        for change, path in (
+            ({"cavity_L": 0.9}, "cavity"),
+            ({"round_trip_m": 1e-308}, "cavity"),
+            ({"xi": 2.0}, "detection"),
+            ({"pump_value": 0.5}, "pump.value"),
+            ({"frequency_hz": -1.0}, "measurement.frequency_hz"),
+            ({"frequency_hz": 1e200}, "measurement.frequency_hz"),
+        ):
+            with pytest.raises(ConfigError) as exc:
+                dataclasses.replace(cfg, **change).derived()
+            assert exc.value.path == path, change
+
+    def test_jitter_is_checked_after_the_derived_fields(self):
+        raw = _base_dict()
+        raw["noise"]["theta_rms_deg"] = -1.0
+        raw["measurement"]["frequency_hz"] = -1.0
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == "measurement.frequency_hz"
 
     def test_power_mode_pump(self):
         raw = _base_dict()

@@ -273,6 +273,10 @@ class TestTypeInvariants:
             OpoCavity(T=0.15, L=-0.01, round_trip_length=0.2)
         with pytest.raises(ValueError):
             OpoCavity(T=0.15, L=0.011, round_trip_length=0.0)
+        # c (T + L) / l underflows to 0, or overflows, for in-range inputs
+        for T, L, length in ((1e-300, 0.0, 1e300), (0.15, 0.011, 1e-308), (0.15, 0.011, 5e-324)):
+            with pytest.raises(ValueError, match="decay rate"):
+                OpoCavity(T=T, L=L, round_trip_length=length)
 
     def test_detection_validation(self):
         with pytest.raises(ValueError):

@@ -64,12 +64,14 @@ class TestDegradeExact:
         assert out.r_plus_db == pytest.approx(13.25, abs=0.05)
 
     def test_full_scrambling_limit(self):
-        with pytest.warns(UserWarning):
-            wide = PhaseNoiseModel(10.0)
-        out = degrade_exact(R_QUOTED, wide)
-        mean = 0.5 * (R_QUOTED.r_plus + R_QUOTED.r_minus)
-        assert out.r_plus == pytest.approx(mean, rel=1e-6)
-        assert out.r_minus == pytest.approx(mean, rel=1e-6)
+        # at 1e308 degrees theta_rms^2 overflows to inf, and exp(-inf) = 0
+        for theta_rms in (10.0, math.radians(1e308)):
+            with pytest.warns(UserWarning):
+                wide = PhaseNoiseModel(theta_rms)
+            out = degrade_exact(R_QUOTED, wide)
+            mean = 0.5 * (R_QUOTED.r_plus + R_QUOTED.r_minus)
+            assert out.r_plus == pytest.approx(mean, rel=1e-6)
+            assert out.r_minus == pytest.approx(mean, rel=1e-6)
 
 
 class TestDegradeApprox:

@@ -2,7 +2,8 @@
 with the forward model and jitter mix, invert it, and get the inputs back;
 any other finite reading fits with a finite residual or is rejected.
 The configuration boundary gets the same treatment: a parsed configuration
-serializes back to itself, and a non-finite number in any field is rejected.
+serializes back to itself, and any float in any field gives a finite report
+or a named rejection, never a traceback.
 A one-step sweep at a configuration's own pump power reproduces predict.
 """
 
@@ -10,13 +11,15 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqzopo.calibration import (
@@ -26,7 +29,7 @@ from sqzopo.calibration import (
     fit_joint,
     fit_theta,
 )
-from sqzopo.cli import EXIT_OK, EXIT_VALIDATION, main, packaged_config_path
+from sqzopo.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main, packaged_config_path
 from sqzopo.config import ExperimentConfig
 from sqzopo.model import QuadratureVariances, forward_variances
 from sqzopo.phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
@@ -152,14 +155,22 @@ NUMERIC_FIELDS = [
 ]
 
 
-def _cli(tree: dict, command: str, *args: str) -> tuple[int, str]:
-    out, err = io.StringIO(), io.StringIO()
+def _cli_runs(tree: dict, *argvs: tuple[str, ...]) -> list[tuple[int, str]]:
+    """Exit code and stdout of each ``(command, *args)`` on the config ``tree``."""
+    runs = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(tree))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(path), *args])
-    return code, out.getvalue()
+        for command, *args in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, str(path), *args])
+            runs.append((code, out.getvalue()))
+    return runs
+
+
+def _cli(tree: dict, command: str, *args: str) -> tuple[int, str]:
+    return _cli_runs(tree, (command, *args))[0]
 
 
 def _csv_row(text: str) -> dict[str, float]:
@@ -176,17 +187,56 @@ def test_config_round_trips_through_to_dict(tree):
     assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
-@ROUND_TRIP
-@given(
-    tree=config_tree,
-    field=st.sampled_from(NUMERIC_FIELDS),
-    bad=st.sampled_from((math.nan, math.inf, -math.inf)),
+# Every subcommand that reads a configuration, except the oracle.
+CONFIG_COMMANDS = (
+    ("predict", "--corrected"),
+    ("sweep", "--anchor", "250:8.83", "--pmin", "0", "--pmax", "250", "--steps", "3"),
+    ("fit", "--sq-db", "-5.8", "--asq-db", "12.72"),
+    ("fit", "--joint", "--sq-db", "-5.8", "--asq-db", "12.72"),
 )
-def test_non_finite_config_field_exits_2(tree, field, bad):
-    assert _cli(tree, "predict", "--corrected")[0] == EXIT_OK
+
+
+def _reject_constant(name: str) -> float:
+    raise AssertionError(f"{name} is not valid JSON")
+
+
+# Non-finite numbers, and magnitudes where squares, products and quotients
+# of a field over- or underflow.  Each is tried in each field of the shipped
+# power-mode configuration, which reads every field, before any drawn float.
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e154, 1e-160, 1e-308, 5e-324, 0.0)
+POWER_TREE = json.loads(packaged_config_path("paper_250mW_power.json").read_text())
+
+
+def _at_every_edge(test):
+    for field, value in itertools.product(NUMERIC_FIELDS, EDGE_FLOATS):
+        test = example(tree=POWER_TREE, field=field, value=value)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@_at_every_edge
+@given(tree=config_tree, field=st.sampled_from(NUMERIC_FIELDS), value=st.floats())
+def test_any_float_in_a_config_field_exits_cleanly(tree, field, value):
+    # Every config-reading command but the oracle: a finite report, or a
+    # validation (2) or infeasibility (3) exit; only the pi/4 warning passes.
     section, key = field
-    tree[section][key] = bad
-    assert _cli(tree, "predict", "--corrected") == (EXIT_VALIDATION, "")
+    tree = {name: dict(fields) for name, fields in tree.items()}
+    tree[section][key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", r"theta_rms = .* exceeds pi/4", UserWarning)
+        runs = _cli_runs(tree, *CONFIG_COMMANDS)
+    for argv, (code, out) in zip(CONFIG_COMMANDS, runs):
+        if not math.isfinite(value):
+            assert (code, out) == (EXIT_VALIDATION, ""), argv
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INFEASIBLE), argv
+        if code != EXIT_OK:
+            continue
+        if argv[0] == "sweep":
+            for row in out.splitlines()[1:]:
+                assert all(math.isfinite(float(v)) for v in row.split(",")), (argv, row)
+        else:
+            json.loads(out, parse_constant=_reject_constant)
 
 
 @ROUND_TRIP
