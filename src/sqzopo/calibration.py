@@ -11,9 +11,10 @@ carry comparable weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import PUMP_X_MAX, QuadratureVariances, forward_variances, from_db, gain_from_x, to_db
+from .model import (
+    PUMP_X_MAX, QuadratureVariances, Record, forward_variances, from_db, gain_from_x, to_db
+)
 from .phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
 
 THETA_MAX = math.pi / 4
@@ -29,54 +30,49 @@ class InfeasibleCorrectionError(ValueError):
     can be inferred from it."""
 
 
-@dataclass(frozen=True)
-class MeasuredLevels:
+class MeasuredLevels(Record):
     """A measured squeezing / anti-squeezing pair in dB relative to shot
     noise.  The anti-squeezing level may be left out (None) for the
     jitter-only fit, which does not read it."""
 
-    squeezing_db: float
-    anti_squeezing_db: float | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, squeezing_db: float, anti_squeezing_db: float | None = None) -> None:
+        self.__dict__.update(squeezing_db=squeezing_db, anti_squeezing_db=anti_squeezing_db)
         # Chained comparisons are False for NaN, so they also reject it.
-        if not -math.inf < self.squeezing_db < 0.0:
+        if not -math.inf < squeezing_db < 0.0:
             raise ValueError(
-                f"squeezing level must be finite and below shot noise, got "
-                f"{self.squeezing_db} dB"
+                f"squeezing level must be finite and below shot noise, got {squeezing_db} dB"
             )
         # Below about -3233 dB the linear ratio underflows to 0, and the fits'
         # squared dB residuals overflow.
-        if from_db(self.squeezing_db) == 0.0:
+        if from_db(squeezing_db) == 0.0:
             raise ValueError(
-                f"squeezing level {self.squeezing_db} dB has no positive linear power ratio"
+                f"squeezing level {squeezing_db} dB has no positive linear power ratio"
             )
-        if self.anti_squeezing_db is not None and not 0.0 < self.anti_squeezing_db < math.inf:
+        if anti_squeezing_db is not None and not 0.0 < anti_squeezing_db < math.inf:
             raise ValueError(
                 f"anti-squeezing level must be finite and above shot noise, got "
-                f"{self.anti_squeezing_db} dB"
+                f"{anti_squeezing_db} dB"
             )
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Fitted phase jitter (radians), optional pump parameter, the final
     sum of squared dB residuals, and the solver effort (golden-section
     steps of the edge search; 0 for a pure closed form)."""
 
-    theta_rms: float
-    residual: float
-    iterations: int
-    status: str = "ok"
-    x: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.residual < 0.0:
-            raise ValueError(f"residual must be >= 0, got {self.residual}")
-        if not 0.0 <= self.theta_rms <= THETA_MAX:
-            raise ValueError(f"theta_rms {self.theta_rms} outside [0, pi/4]")
-        if self.x is not None and not 0.0 <= self.x < 1.0:
-            raise ValueError(f"x {self.x} outside [0, 1)")
+    def __init__(
+        self, theta_rms: float, residual: float, iterations: int, status: str = "ok",
+        x: float | None = None,
+    ) -> None:
+        self.__dict__.update(
+            theta_rms=theta_rms, residual=residual, iterations=iterations, status=status, x=x
+        )
+        if residual < 0.0:
+            raise ValueError(f"residual must be >= 0, got {residual}")
+        if not 0.0 <= theta_rms <= THETA_MAX:
+            raise ValueError(f"theta_rms {theta_rms} outside [0, pi/4]")
+        if x is not None and not 0.0 <= x < 1.0:
+            raise ValueError(f"x {x} outside [0, 1)")
 
     @property
     def theta_rms_deg(self) -> float:

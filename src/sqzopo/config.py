@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .model import (
     DetectionChain,
     OpoCavity,
     PumpOperatingPoint,
+    Record,
     cavity_decay_rate,
     detection_efficiency,
     detuning,
@@ -40,7 +40,7 @@ PUMP_MODES = ("gain", "x", "power")
 
 # The JSON schema, declared once: each ExperimentConfig attribute and the
 # (section, key) it is read from and written to, in the order fields are
-# checked and serialized.  Attributes with a default (None) are optional.
+# checked and serialized.  The attributes in _OPTIONAL default to None.
 _FIELDS = {
     "cavity_T": ("cavity", "T"),
     "cavity_L": ("cavity", "L"),
@@ -55,6 +55,7 @@ _FIELDS = {
     "theta_rms_deg": ("noise", "theta_rms_deg"),
     "frequency_hz": ("measurement", "frequency_hz"),
 }
+_OPTIONAL = ("dark_clearance_db", "threshold_mW")
 _SECTION_KEYS = {
     name: {key for section, key in _FIELDS.values() if section == name}
     for name, _ in _FIELDS.values()
@@ -98,22 +99,20 @@ def _number(value: object, path: str) -> float:
     return number
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """One OPO + homodyne operating point, stored in boundary units."""
 
-    cavity_T: float
-    cavity_L: float
-    round_trip_m: float
-    zeta: float
-    eta: float
-    xi: float
-    pump_mode: str
-    pump_value: float
-    theta_rms_deg: float
-    frequency_hz: float
-    dark_clearance_db: float | None = None
-    threshold_mW: float | None = None
+    def __init__(
+        self, cavity_T: float, cavity_L: float, round_trip_m: float, zeta: float, eta: float,
+        xi: float, pump_mode: str, pump_value: float, theta_rms_deg: float, frequency_hz: float,
+        dark_clearance_db: float | None = None, threshold_mW: float | None = None,
+    ) -> None:
+        self.__dict__.update(
+            cavity_T=cavity_T, cavity_L=cavity_L, round_trip_m=round_trip_m, zeta=zeta, eta=eta,
+            xi=xi, pump_mode=pump_mode, pump_value=pump_value, theta_rms_deg=theta_rms_deg,
+            frequency_hz=frequency_hz, dark_clearance_db=dark_clearance_db,
+            threshold_mW=threshold_mW,
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> ExperimentConfig:
@@ -138,7 +137,7 @@ class ExperimentConfig:
         values: dict[str, object] = {}
         for attr, (name, key) in _FIELDS.items():
             value = data[name].get(key)
-            if attr == "pump_mode" or (value is None and hasattr(cls, attr)):
+            if attr == "pump_mode" or (value is None and attr in _OPTIONAL):
                 values[attr] = value  # the checked mode, or an absent optional field
             else:
                 values[attr] = _number(_require(data[name], name, key), f"{name}.{key}")

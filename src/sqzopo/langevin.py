@@ -43,9 +43,8 @@ import contextlib
 import math
 import os
 import threading
-from dataclasses import dataclass
 
-from .model import SPEED_OF_LIGHT, OpoCavity
+from .model import SPEED_OF_LIGHT, OpoCavity, Record
 
 # Bound on the dimensionless Euler step gamma_total (1 + x) dt / 2: smaller
 # steps keep the discrete update a faithful, stable model of the dynamics.
@@ -61,30 +60,27 @@ MIN_SEGMENTS = 8
 _BLOCK = 2
 
 
-@dataclass(frozen=True)
-class LangevinConfig:
+class LangevinConfig(Record):
     """Rates (rad/s), pump parameter, step size, per-segment duration,
     RNG seed and segment count for one spectrum estimation run."""
 
-    gamma_out: float
-    gamma_loss: float
-    x: float
-    dt: float
-    duration: float
-    seed: int
-    segments: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma_out < math.inf:
-            raise ValueError(f"gamma_out must be finite and > 0, got {self.gamma_out}")
-        if not 0.0 <= self.gamma_loss < math.inf:
-            raise ValueError(f"gamma_loss must be finite and >= 0, got {self.gamma_loss}")
-        if not 0.0 <= self.x < 1.0:
-            raise ValueError(f"pump parameter x must be in [0, 1), got {self.x}")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        for name in ("seed", "segments"):
-            value = getattr(self, name)
+    def __init__(
+        self, gamma_out: float, gamma_loss: float, x: float, dt: float, duration: float,
+        seed: int, segments: int,
+    ) -> None:
+        self.__dict__.update(
+            gamma_out=gamma_out, gamma_loss=gamma_loss, x=x, dt=dt, duration=duration, seed=seed,
+            segments=segments,
+        )
+        if not 0.0 < gamma_out < math.inf:
+            raise ValueError(f"gamma_out must be finite and > 0, got {gamma_out}")
+        if not 0.0 <= gamma_loss < math.inf:
+            raise ValueError(f"gamma_loss must be finite and >= 0, got {gamma_loss}")
+        if not 0.0 <= x < 1.0:
+            raise ValueError(f"pump parameter x must be in [0, 1), got {x}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
+        for name, value in (("seed", seed), ("segments", segments)):
             if type(value) is not int or value < 0:
                 raise ValueError(f"{name} must be an int >= 0, got {value!r}")
         step = self.dt * self.gamma_total * (1.0 + self.x) / 2.0
@@ -131,20 +127,19 @@ class LangevinConfig:
         )
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(Record):
     """Estimated normalized output spectrum at one sideband frequency:
     segment mean and standard error per quadrature, plus the periodogram
     bin spacing the estimate was interpolated on."""
 
-    omega: float
-    r_plus: float
-    r_minus: float
-    stderr_plus: float
-    stderr_minus: float
-    segments: int
-    seed: int
-    bin_spacing_hz: float
+    def __init__(
+        self, omega: float, r_plus: float, r_minus: float, stderr_plus: float,
+        stderr_minus: float, segments: int, seed: int, bin_spacing_hz: float,
+    ) -> None:
+        self.__dict__.update(
+            omega=omega, r_plus=r_plus, r_minus=r_minus, stderr_plus=stderr_plus,
+            stderr_minus=stderr_minus, segments=segments, seed=seed, bin_spacing_hz=bin_spacing_hz,
+        )
 
 
 def _segment_rng(seed: int, segment: int, stream: int) -> np.random.Generator:

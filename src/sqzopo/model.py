@@ -18,7 +18,6 @@ presentation boundaries via :func:`to_db` / :func:`from_db`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
@@ -54,26 +53,44 @@ def from_db(level_db: float) -> float:
         raise ValueError(f"level {level_db} dB has no finite linear power ratio") from err
 
 
-@dataclass(frozen=True)
-class OpoCavity:
+class Record:
+    """Immutable value object.  A subclass's ``__init__`` stores its fields,
+    in signature order, with one ``self.__dict__.update`` and then checks
+    them; records compare, hash and print by those fields."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OpoCavity(Record):
     """OPO cavity: output-coupler transmission T, intracavity loss L, and
     round-trip length in meters."""
 
-    T: float
-    L: float
-    round_trip_length: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.T < 1.0:
-            raise ValueError(f"T must be in (0, 1), got {self.T}")
-        if not 0.0 <= self.L < 1.0:
-            raise ValueError(f"L must be in [0, 1), got {self.L}")
-        if self.T + self.L >= 1.0:
-            raise ValueError(f"T + L must be < 1, got {self.T + self.L}")
-        if self.round_trip_length <= 0.0:
-            raise ValueError(
-                f"round_trip_length must be > 0 m, got {self.round_trip_length}"
-            )
+    def __init__(self, T: float, L: float, round_trip_length: float) -> None:
+        self.__dict__.update(T=T, L=L, round_trip_length=round_trip_length)
+        if not 0.0 < T < 1.0:
+            raise ValueError(f"T must be in (0, 1), got {T}")
+        if not 0.0 <= L < 1.0:
+            raise ValueError(f"L must be in [0, 1), got {L}")
+        if T + L >= 1.0:
+            raise ValueError(f"T + L must be < 1, got {T + L}")
+        if round_trip_length <= 0.0:
+            raise ValueError(f"round_trip_length must be > 0 m, got {round_trip_length}")
         gamma = cavity_decay_rate(self)
         if not 0.0 < gamma < math.inf:
             raise ValueError(
@@ -81,31 +98,24 @@ class OpoCavity:
             )
 
 
-@dataclass(frozen=True)
-class DetectionChain:
+class DetectionChain(Record):
     """Homodyne detection chain: propagation efficiency zeta, photodiode
     quantum efficiency eta, fringe visibility xi (enters as xi^2), and an
     optional dark-noise clearance (linear detector circuit noise power
     relative to shot noise; None means an ideal, noiseless detector)."""
 
-    zeta: float
-    eta: float
-    xi: float
-    dark_clearance: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("zeta", "eta", "xi"):
-            v = getattr(self, name)
+    def __init__(
+        self, zeta: float, eta: float, xi: float, dark_clearance: float | None = None
+    ) -> None:
+        self.__dict__.update(zeta=zeta, eta=eta, xi=xi, dark_clearance=dark_clearance)
+        for name, v in (("zeta", zeta), ("eta", eta), ("xi", xi)):
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if self.dark_clearance is not None and not 0.0 <= self.dark_clearance < 1.0:
-            raise ValueError(
-                f"dark_clearance must be in [0, 1), got {self.dark_clearance}"
-            )
+        if dark_clearance is not None and not 0.0 <= dark_clearance < 1.0:
+            raise ValueError(f"dark_clearance must be in [0, 1), got {dark_clearance}")
 
 
-@dataclass(frozen=True)
-class PumpOperatingPoint:
+class PumpOperatingPoint(Record):
     """How hard the OPO is pumped: the pump parameter x in [0, PUMP_X_MAX],
     built from one of three equivalent readings -- x itself, the classical
     parametric amplification gain G = 1/(1-x)^2, or a pump power with its
@@ -115,10 +125,9 @@ class PumpOperatingPoint:
     gains, and operation must stay below threshold for powers.
     """
 
-    x: float
-
-    def __post_init__(self) -> None:
-        _check_pump_parameter(self.x)
+    def __init__(self, x: float) -> None:
+        self.__dict__.update(x=x)
+        _check_pump_parameter(x)
 
     @classmethod
     def from_x(cls, x: float) -> PumpOperatingPoint:
@@ -147,8 +156,7 @@ class PumpOperatingPoint:
         return cls(math.sqrt(power / threshold))
 
 
-@dataclass(frozen=True)
-class QuadratureVariances:
+class QuadratureVariances(Record):
     """Linear shot-noise-normalized variance pair (anti-squeezed, squeezed).
 
     The forward model produces r_plus >= 1 >= r_minus > 0; phase-noise
@@ -156,14 +164,10 @@ class QuadratureVariances:
     positive values are enforced here.
     """
 
-    r_plus: float
-    r_minus: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r_plus < math.inf and 0.0 < self.r_minus < math.inf):
-            raise ValueError(
-                f"variances must be finite and > 0, got ({self.r_plus}, {self.r_minus})"
-            )
+    def __init__(self, r_plus: float, r_minus: float) -> None:
+        self.__dict__.update(r_plus=r_plus, r_minus=r_minus)
+        if not (0.0 < r_plus < math.inf and 0.0 < r_minus < math.inf):
+            raise ValueError(f"variances must be finite and > 0, got ({r_plus}, {r_minus})")
 
     @property
     def r_plus_db(self) -> float:

@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from .model import QuadratureVariances
+from .model import QuadratureVariances, Record
 
 
-@dataclass(frozen=True)
-class PhaseNoiseModel:
+class PhaseNoiseModel(Record):
     """Gaussian rms phase jitter of the locked homodyne phase, in radians.
 
     The Gaussian-jitter picture is meant for small residual fluctuations;
@@ -37,14 +35,13 @@ class PhaseNoiseModel:
     stays mathematically valid for any width).
     """
 
-    theta_rms: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta_rms < math.inf:
-            raise ValueError(f"theta_rms must be finite and >= 0 rad, got {self.theta_rms}")
-        if self.theta_rms > math.pi / 4:
+    def __init__(self, theta_rms: float) -> None:
+        self.__dict__.update(theta_rms=theta_rms)
+        if not 0.0 <= theta_rms < math.inf:
+            raise ValueError(f"theta_rms must be finite and >= 0 rad, got {theta_rms}")
+        if theta_rms > math.pi / 4:
             warnings.warn(
-                f"theta_rms = {self.theta_rms:.3f} rad exceeds pi/4; the "
+                f"theta_rms = {theta_rms:.3g} rad exceeds pi/4; the "
                 "small-jitter picture is outside its intended regime",
                 UserWarning,
                 stacklevel=2,

@@ -731,11 +731,13 @@ class TestImportGate:
         assert proc.stdout.splitlines() == ["[]"]
 
     def test_cli_import_loads_no_typing_or_resources(self):
-        # -S keeps site-packages' .pth files from importing either first.
+        # -S keeps site-packages' .pth files from importing any of them first;
+        # dataclasses, with the inspect it loads, would add ~15 ms to every CLI call.
+        modules = ("typing", "importlib.resources", "dataclasses", "inspect")
         proc = subprocess.run(
             [sys.executable, "-S", "-c",
              f"import sys; sys.path.insert(0, {str(SRC)!r}); import sqzopo.cli; "
-             "print([m for m in ('typing', 'importlib.resources') if m in sys.modules])"],
+             f"print([m for m in {modules!r} if m in sys.modules])"],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -169,7 +168,7 @@ class TestDerived:
             ({"frequency_hz": 1e200}, "measurement.frequency_hz"),
         ):
             with pytest.raises(ConfigError) as exc:
-                dataclasses.replace(cfg, **change).derived()
+                ExperimentConfig(**{**vars(cfg), **change}).derived()
             assert exc.value.path == path, change
 
     def test_jitter_is_checked_after_the_derived_fields(self):

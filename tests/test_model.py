@@ -12,6 +12,14 @@ import math
 import numpy as np
 import pytest
 
+from sqzopo import (
+    ExperimentConfig,
+    FitResult,
+    LangevinConfig,
+    MeasuredLevels,
+    PhaseNoiseModel,
+    SpectrumPoint,
+)
 from sqzopo.model import (
     PUMP_X_MAX,
     DetectionChain,
@@ -294,3 +302,63 @@ class TestTypeInvariants:
         for r_plus, r_minus in ((math.nan, 0.5), (2.0, math.nan), (math.inf, 0.5)):
             with pytest.raises(ValueError, match="finite and > 0"):
                 QuadratureVariances(r_plus=r_plus, r_minus=r_minus)
+
+
+# One valid example of each record: its class, its required fields in
+# signature order, its defaults, and a valid change to one field.
+RECORDS = [
+    (OpoCavity, dict(T=0.15, L=0.011, round_trip_length=0.214), {}, {"L": 0.02}),
+    (DetectionChain, dict(zeta=1.0, eta=0.994, xi=0.979), {"dark_clearance": None},
+     {"dark_clearance": 0.0168}),
+    (PumpOperatingPoint, dict(x=BENCH_X), {}, {"x": 0.5}),
+    (QuadratureVariances, dict(r_plus=21.2, r_minus=0.15), {}, {"r_minus": 0.2}),
+    (PhaseNoiseModel, dict(theta_rms=0.075), {}, {"theta_rms": 0.0}),
+    (MeasuredLevels, dict(squeezing_db=-5.8), {"anti_squeezing_db": None},
+     {"anti_squeezing_db": 12.72}),
+    (FitResult, dict(theta_rms=0.075, residual=0.0, iterations=0), {"status": "ok", "x": None},
+     {"status": "infeasible"}),
+    (ExperimentConfig,
+     dict(cavity_T=0.15, cavity_L=0.011, round_trip_m=0.214, zeta=1.0, eta=0.994, xi=0.979,
+          pump_mode="gain", pump_value=8.83, theta_rms_deg=4.3, frequency_hz=1e6),
+     {"dark_clearance_db": None, "threshold_mW": None}, {"threshold_mW": 567.9}),
+    (LangevinConfig,
+     dict(gamma_out=1.0, gamma_loss=0.0, x=0.0, dt=0.01, duration=100.0, seed=0, segments=8),
+     {}, {"seed": 1}),
+    (SpectrumPoint,
+     dict(omega=1.0, r_plus=2.0, r_minus=0.5, stderr_plus=0.1, stderr_minus=0.01, segments=8,
+          seed=0, bin_spacing_hz=0.1),
+     {}, {"stderr_plus": 0.2}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, required, defaults, change", RECORDS, ids=[entry[0].__name__ for entry in RECORDS]
+)
+def test_record_contract(cls, required, defaults, change):
+    fields = {**required, **defaults}
+    record = cls(*required.values())
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    assert record == cls(**required) == cls(*fields.values()) == cls(**fields)
+    with pytest.raises(TypeError):
+        cls(*list(required.values())[:-1])
+    with pytest.raises(TypeError):
+        cls(**required, unknown=1.0)
+
+    other = cls(**{**fields, **change})
+    assert record != other and not record == other
+    assert record != type("Other", (cls,), {})(**fields)
+    assert record != tuple(fields.values())
+    assert hash(record) == hash(cls(**fields))
+    assert len({record, cls(**fields), other}) == 2
+
+    name, value = next(iter(change.items()))
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.unknown = 1.0
+    assert record == cls(**fields)
+
+    shown = ", ".join(f"{key}={val!r}" for key, val in fields.items())
+    assert repr(record) == f"{cls.__name__}({shown})"

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from sqzopo import phase_noise
 from sqzopo.model import QuadratureVariances, forward_variances, to_db
 from sqzopo.phase_noise import (
     PhaseNoiseModel,
@@ -42,6 +43,16 @@ class TestModelType:
     def test_large_rms_warns(self):
         with pytest.warns(UserWarning, match="pi/4"):
             PhaseNoiseModel(1.0)
+
+    def test_huge_rms_warns_once_briefly_at_a_source_line(self):
+        with pytest.warns(UserWarning, match=r"theta_rms = .* exceeds pi/4") as record:
+            PhaseNoiseModel.from_degrees(1e308)
+        assert len(record) == 1
+        assert len(str(record[0].message)) < 200
+        assert record[0].filename == phase_noise.__file__
+        with pytest.warns(UserWarning, match="exceeds pi/4") as record:
+            PhaseNoiseModel(1e306)
+        assert record[0].filename == __file__
 
     def test_degrees_constructor(self):
         assert PhaseNoiseModel.from_degrees(4.3).theta_rms == pytest.approx(
