@@ -1,70 +1,44 @@
-"""Squeezed-vacuum modeling and calibration for sub-threshold OPOs."""
+"""Squeezed-vacuum modeling and calibration for sub-threshold OPOs.
 
-from .calibration import (
-    FitResult,
-    InfeasibleCorrectionError,
-    MeasuredLevels,
-    dark_noise_correct,
-    dark_noise_uncorrect,
-    fit_joint,
-    fit_theta,
-)
-from .config import ConfigError, ExperimentConfig
-from .langevin import LangevinConfig, SpectrumPoint, simulate_output_spectrum
-from .model import (
-    DetectionChain,
-    OpoCavity,
-    PumpOperatingPoint,
-    QuadratureVariances,
-    cavity_decay_rate,
-    detection_efficiency,
-    detuning,
-    escape_efficiency,
-    forward_variances,
-    from_db,
-    gain_from_x,
-    pump_parameter,
-    to_db,
-)
-from .phase_noise import (
-    PhaseNoiseModel,
-    QuadratureConvergenceError,
-    degrade_approx,
-    degrade_exact,
-    degrade_quadrature,
-)
+Names load on first use (PEP 562): ``import sqzopo`` imports no submodule,
+and the first access to an exported name, or to a submodule, imports the
+module that defines it.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DetectionChain",
-    "ExperimentConfig",
-    "FitResult",
-    "InfeasibleCorrectionError",
-    "LangevinConfig",
-    "MeasuredLevels",
-    "OpoCavity",
-    "PhaseNoiseModel",
-    "PumpOperatingPoint",
-    "QuadratureConvergenceError",
-    "QuadratureVariances",
-    "SpectrumPoint",
-    "cavity_decay_rate",
-    "dark_noise_correct",
-    "dark_noise_uncorrect",
-    "degrade_approx",
-    "degrade_exact",
-    "degrade_quadrature",
-    "detection_efficiency",
-    "detuning",
-    "escape_efficiency",
-    "fit_joint",
-    "fit_theta",
-    "forward_variances",
-    "from_db",
-    "gain_from_x",
-    "pump_parameter",
-    "simulate_output_spectrum",
-    "to_db",
-]
+# Each exported name, declared once under the module that defines it.
+_EXPORTS = {
+    "calibration": (
+        "FitResult", "MeasuredLevels", "dark_noise_correct", "dark_noise_uncorrect", "fit_joint",
+        "fit_theta",
+    ),
+    "config": ("ConfigError", "ExperimentConfig"),
+    "langevin": ("LangevinConfig", "SpectrumPoint", "simulate_output_spectrum"),
+    "model": (
+        "DetectionChain", "InfeasibleCorrectionError", "OpoCavity", "PumpOperatingPoint",
+        "QuadratureVariances", "cavity_decay_rate", "detection_efficiency", "detuning",
+        "escape_efficiency", "forward_variances", "from_db", "gain_from_x", "pump_parameter",
+        "to_db",
+    ),
+    "phase_noise": (
+        "PhaseNoiseModel", "QuadratureConvergenceError", "degrade_approx", "degrade_exact",
+        "degrade_quadrature",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "dataset"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    module = _HOME.get(name, name)
+    if module not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name in _HOME:
+        value = globals()[name] = getattr(value, name)
+    return value

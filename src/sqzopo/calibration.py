@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 
 from .model import (
-    PUMP_X_MAX, QuadratureVariances, Record, forward_variances, from_db, gain_from_x, to_db
+    PUMP_X_MAX, InfeasibleCorrectionError, QuadratureVariances, Record, forward_variances,
+    from_db, gain_from_x, to_db,
 )
 from .phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
 
@@ -23,11 +24,6 @@ THETA_MAX = math.pi / 4
 # 0.618^80 for golden-section search.
 _GOLDEN_STEPS = 80
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class InfeasibleCorrectionError(ValueError):
-    """Measured power at or below the dark-noise floor: no optical level
-    can be inferred from it."""
 
 
 class MeasuredLevels(Record):

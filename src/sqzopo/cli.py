@@ -4,7 +4,8 @@ dataset.
 
 Exit codes: 0 success, 1 a `paper --check` criterion failed, 2 validation
 error, 3 infeasible fit or correction, 4 oracle assertion failure.  Reports
-go to stdout, diagnostics to stderr.
+go to stdout, diagnostics to stderr.  A handler imports the modules only it
+uses, so each call loads just what its subcommand runs.
 """
 
 from __future__ import annotations
@@ -15,18 +16,10 @@ import math
 import sys
 from pathlib import Path
 
-from .calibration import (
-    InfeasibleCorrectionError,
-    MeasuredLevels,
-    dark_noise_correct,
-    fit_joint,
-    fit_theta,
-)
 from .config import ConfigError, ExperimentConfig, _named, _require
-from .dataset import crystal, load_dataset
-from .langevin import LangevinConfig, simulate_output_spectrum
 from .model import (
     PUMP_X_MAX,
+    InfeasibleCorrectionError,
     PumpOperatingPoint,
     QuadratureVariances,
     forward_variances,
@@ -140,7 +133,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if math.sqrt(args.pmax / threshold_mw) > PUMP_X_MAX:
         raise ConfigError("--pmax", "too close to threshold for a finite prediction")
     theta_deg = cfg.theta_rms_deg if args.theta_deg is None else args.theta_deg
-    jitter = PhaseNoiseModel.from_degrees(theta_deg)
+    jitter = _named("--theta-deg", PhaseNoiseModel.from_degrees, theta_deg)
 
     lines = [SWEEP_HEADER]
     for i in range(args.steps):
@@ -156,27 +149,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_correct(args: argparse.Namespace) -> int:
+    from .calibration import dark_noise_correct
+
     if args.clearance_db >= 0.0:
         raise ConfigError("--clearance-db", "dark noise must lie below shot noise (< 0 dB)")
-    corrected = dark_noise_correct(args.level_db, from_db(args.clearance_db))
+    corrected = _named(
+        "--level-db/--clearance-db", dark_noise_correct, args.level_db, from_db(args.clearance_db)
+    )
     print(f"{corrected:.6f}")
     return EXIT_OK
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .calibration import MeasuredLevels, fit_joint, fit_theta
+
     cfg = ExperimentConfig.from_file(args.config)
     derived = cfg.derived()
     if args.joint and args.asq_db is None:
         raise ConfigError("--asq-db", "required for a joint fit")
-    measured = MeasuredLevels(squeezing_db=args.sq_db, anti_squeezing_db=args.asq_db)
+    measured = _named("--sq-db/--asq-db", MeasuredLevels, args.sq_db, args.asq_db)
 
     if args.joint:
-        fit = fit_joint(
-            measured,
-            derived["alpha"],
-            derived["rho"],
-            derived["detuning"],
-            use_approx=args.approx,
+        # The joint fit also reads the anti-squeezing level's linear ratio.
+        fit = _named(
+            "--sq-db/--asq-db", fit_joint, measured, derived["alpha"], derived["rho"],
+            derived["detuning"], use_approx=args.approx,
         )
         x, gain = fit.x, fit.gain
     else:
@@ -200,6 +197,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .langevin import LangevinConfig, simulate_output_spectrum
+
     cfg = ExperimentConfig.from_file(args.config)
     derived = cfg.derived()
     cavity = cfg.opo_cavity()
@@ -207,11 +206,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     gamma = derived["gamma_rad_s"]
     dt = 2.0 * ORACLE_STABILITY_STEP / (gamma * (1.0 + x))
     duration = args.duration if args.duration is not None else ORACLE_STEPS_PER_SEGMENT * dt
-    sim_cfg = LangevinConfig.from_cavity(
-        cavity, x=x, dt=dt, duration=duration, seed=args.seed, segments=args.segments
+    sim_cfg = _named(
+        "--duration/--seed/--segments", LangevinConfig.from_cavity,
+        cavity, x=x, dt=dt, duration=duration, seed=args.seed, segments=args.segments,
     )
-    omega = cfg.omega()
-    points = simulate_output_spectrum(sim_cfg, [omega])
+    # The memory guard reads the run's size, the Nyquist check the sideband.
+    points = _named(
+        "--duration/--segments/measurement.frequency_hz", simulate_output_spectrum,
+        sim_cfg, [cfg.omega()],
+    )
 
     pump_mw = cfg.pump_value if cfg.pump_mode == "power" else math.nan
     jitter = cfg.phase_noise()
@@ -255,6 +258,8 @@ def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str
     Each record is required where a check reads it, and nowhere else.
     Returns one (name, passed, detail) triple per check, in order.
     """
+    from .calibration import MeasuredLevels, dark_noise_correct, fit_theta
+
     derived = cfg.derived()
     results: list[tuple[str, bool, str]] = []
 
@@ -327,6 +332,8 @@ def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str
 
 
 def _cmd_paper(args: argparse.Namespace) -> int:
+    from .dataset import crystal, load_dataset
+
     data = load_dataset(args.dataset)
     if args.list:
         print(data.get("experiment", "benchmark dataset"))

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .model import (
     DetectionChain,
+    InfeasibleCorrectionError,
     OpoCavity,
     PumpOperatingPoint,
     Record,
@@ -76,12 +77,13 @@ def _read_json(path: str | Path) -> object:
         raise ConfigError(str(path), f"not valid JSON: {err}") from err
 
 
-def _named(path: str, build, *args):
-    """``build(*args)``, with a ValueError it raises reported against the
-    input field ``path``; a ConfigError already names its own field."""
+def _named(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError it raises reported
+    against the input field ``path``; a ConfigError already names its own
+    field, and an InfeasibleCorrectionError keeps its own exit code."""
     try:
-        return build(*args)
-    except ConfigError:
+        return build(*args, **kwargs)
+    except (ConfigError, InfeasibleCorrectionError):
         raise
     except ValueError as err:
         raise ConfigError(path, str(err)) from err

@@ -89,7 +89,8 @@ class LangevinConfig(Record):
                 f"unstable step: dt * gamma_total * (1 + x) / 2 = {step:.3g} "
                 f"must be < {STABILITY_LIMIT}"
             )
-        if not 100.0 / self.gamma_total <= self.duration < math.inf:
+        # A finite duration / dt keeps the step count a finite int.
+        if not (100.0 / self.gamma_total <= self.duration and self.duration / self.dt < math.inf):
             raise ValueError(
                 f"duration {self.duration:.3g} s out of range; need a finite "
                 f">= 100 / gamma_total = {100.0 / self.gamma_total:.3g} s per segment"

@@ -53,6 +53,12 @@ def from_db(level_db: float) -> float:
         raise ValueError(f"level {level_db} dB has no finite linear power ratio") from err
 
 
+class InfeasibleCorrectionError(ValueError):
+    """Measured power at or below the dark-noise floor: no optical level
+    can be inferred from it.  Defined here so the CLI can catch it without
+    loading :mod:`sqzopo.calibration`, which raises it."""
+
+
 class Record:
     """Immutable value object.  A subclass's ``__init__`` stores its fields,
     in signature order, with one ``self.__dict__.update`` and then checks

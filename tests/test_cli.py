@@ -252,8 +252,11 @@ class TestSweep:
                       ("--theta-deg", "nan"), ("--theta-deg", "inf")):
             argv = {"--pmin": "50", "--pmax": "450", "--anchor": "250:8.83"}
             argv.update([extra])
-            code, out, _ = _run(capsys, "sweep", CONFIG, *(a for kv in argv.items() for a in kv))
+            code, out, err = _run(
+                capsys, "sweep", CONFIG, *(a for kv in argv.items() for a in kv)
+            )
             assert code == EXIT_VALIDATION, (extra, out)
+            assert extra[0] in err.removeprefix("error: ").split(": ")[0].split("/"), err
 
 
 class TestCorrect:
@@ -294,7 +297,7 @@ class TestCorrect:
             )
             assert code == EXIT_VALIDATION, (level, clearance, out)
             assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.startswith("error: --level-db/--clearance-db: ") and err.count("\n") == 1
 
 
 class TestFit:
@@ -353,7 +356,7 @@ class TestFit:
             code, out, err = _run(capsys, *argv)
             assert code == EXIT_VALIDATION, (sq, asq, out)
             assert out == "" and "finite" in err
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.startswith("error: --sq-db/--asq-db: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "levels",
@@ -369,7 +372,8 @@ class TestFit:
         # a pump at threshold with status ok.
         code, out, err = _run(capsys, "fit", CONFIG, *levels)
         assert (code, out) == (EXIT_VALIDATION, "")
-        assert err.startswith("error: squeezing level ") and err.count("\n") == 1
+        assert err.startswith("error: --sq-db/--asq-db: squeezing level ")
+        assert err.count("\n") == 1
 
 
 class TestOracle:
@@ -681,44 +685,100 @@ def _python(code: str, *args: str, module: bool = False) -> subprocess.Completed
 # Which of numpy, scipy and concurrent.futures the interpreter has loaded.
 _LOADED = "[m for m in ('concurrent.futures', 'numpy', 'scipy') if m in sys.modules]"
 
-# Runs cli.main and prints its exit code and the loaded set as JSON.
+# Which sqzopo submodules the interpreter has loaded, without the package prefix.
+_SUBMODULES = "sorted(m[len('sqzopo.'):] for m in sys.modules if m.startswith('sqzopo.'))"
+
+# Runs cli.main and prints its exit code and both loaded sets as JSON.
 _GATE = f"""
 import json, sys
 from sqzopo import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, {_LOADED}]))
+print(json.dumps([code, {_LOADED}, {_SUBMODULES}]))
 """
+
+# What every subcommand loads: the CLI, its config parser and the forward model.
+_CORE = ["cli", "config", "model", "phase_noise"]
 
 
 class TestImportGate:
     """Only the oracle computes with numpy, so no other subcommand may load
     it; nothing loads scipy, and the oracle's threads need no
-    concurrent.futures."""
+    concurrent.futures.  Each subcommand loads only the sqzopo modules it
+    runs, and ``import sqzopo`` loads none."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, modules",
         [
-            ["predict", CONFIG, "--corrected"],
-            ["sweep", CONFIG, "--pmin", "50", "--pmax", "450", "--steps", "9",
-             "--anchor", "250:8.83"],
-            ["correct", "--level-db", "-5.6", "--clearance-db", "-17.75"],
-            ["fit", CONFIG, "--sq-db", "-5.80"],
-            ["fit", CONFIG, "--sq-db", "-5.80", "--asq-db", "12.72", "--joint"],
-            ["paper", "--check"],
-            ["paper", "--list"],
+            (["predict", CONFIG, "--corrected"], []),
+            (["sweep", CONFIG, "--pmin", "50", "--pmax", "450", "--steps", "9",
+              "--anchor", "250:8.83"], []),
+            (["correct", "--level-db", "-5.6", "--clearance-db", "-17.75"], ["calibration"]),
+            (["fit", CONFIG, "--sq-db", "-5.80"], ["calibration"]),
+            (["fit", CONFIG, "--sq-db", "-5.80", "--asq-db", "12.72", "--joint"],
+             ["calibration"]),
+            (["paper", "--check"], ["calibration", "dataset"]),
+            (["paper", "--list"], ["dataset"]),
         ],
         ids=["predict-corrected", "sweep-anchor", "correct", "fit", "fit-joint",
              "paper-check", "paper-list"],
     )
-    def test_subcommand_loads_neither(self, argv):
+    def test_subcommand_loads_neither(self, argv, modules):
         proc = _python(_GATE, *argv)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, []]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            EXIT_OK, [], sorted(_CORE + modules)
+        ]
 
     def test_oracle_subcommand_loads_numpy_only(self):
         proc = _python(_GATE, "oracle", CONFIG, "--segments", "8")
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, ["numpy"]]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            EXIT_OK, ["numpy"], sorted(_CORE + ["langevin"])
+        ]
+
+    def test_package_import_loads_no_submodule(self):
+        proc = _python(f"import sys, sqzopo\nprint({_SUBMODULES})\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
+
+    def test_every_export_resolves(self):
+        # In a fresh interpreter, so each name is looked up through the lazy
+        # namespace rather than found already loaded.
+        proc = _python(
+            "import sqzopo\n"
+            "missing = [n for n in sqzopo.__all__ if getattr(sqzopo, n, None) is None]\n"
+            "print(len(sqzopo.__all__), missing)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["30 []"]
+
+    @pytest.mark.parametrize(
+        "name", ["calibration", "cli", "config", "dataset", "langevin", "model", "phase_noise"]
+    )
+    def test_submodule_resolves_after_bare_import(self, name):
+        proc = _python(
+            "import sqzopo\n"
+            f"module = sqzopo.{name}\n"
+            "print(module.__name__)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"sqzopo.{name}"]
+
+    @pytest.mark.parametrize("name", ["no_such_name", "__wrapped__", "__main__", "numpy"])
+    def test_unknown_name_raises_attribute_error(self, name):
+        import sqzopo
+
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(sqzopo, name)
+
+    def test_exports_keep_their_identity(self):
+        import sqzopo
+        from sqzopo import calibration, model
+
+        assert sqzopo.InfeasibleCorrectionError is model.InfeasibleCorrectionError
+        assert calibration.InfeasibleCorrectionError is model.InfeasibleCorrectionError
+        assert sqzopo.fit_theta is calibration.fit_theta
+        assert "fit_theta" in vars(sqzopo)  # cached after the first lookup
 
     def test_quadrature_loads_neither(self):
         proc = _python(

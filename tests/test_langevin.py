@@ -67,7 +67,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [(f, v) for f in ("gamma_out", "gamma_loss", "dt") for v in (math.nan, math.inf, -math.inf)]
-        + [(f, v) for f in ("seed", "segments") for v in (8.5, 8.0, "8", True, -1)],
+        + [(f, v) for f in ("seed", "segments") for v in (8.5, 8.0, "8", True, -1)]
+        # 1e308 s is finite, but not its step count duration / dt
+        + [("duration", 1e308)],
     )
     def test_non_finite_or_non_count_field_rejected(self, field, value):
         kwargs = dict(gamma_out=GAMMA, gamma_loss=0.0, x=0.0, dt=0.01 / GAMMA,

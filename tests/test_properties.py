@@ -2,8 +2,8 @@
 with the forward model and jitter mix, invert it, and get the inputs back;
 any other finite reading fits with a finite residual or is rejected.
 The configuration boundary gets the same treatment: a parsed configuration
-serializes back to itself, and any float in any field gives a finite report
-or a named rejection, never a traceback.
+serializes back to itself, and any float in any field or float flag gives a
+finite report or a named rejection, never a traceback.
 A one-step sweep at a configuration's own pump power reproduces predict.
 """
 
@@ -155,22 +155,24 @@ NUMERIC_FIELDS = [
 ]
 
 
-def _cli_runs(tree: dict, *argvs: tuple[str, ...]) -> list[tuple[int, str]]:
-    """Exit code and stdout of each ``(command, *args)`` on the config ``tree``."""
+def _cli_runs(tree: dict, *argvs: tuple[str, ...]) -> list[tuple[int, str, str]]:
+    """Exit code, stdout and stderr of each ``(command, *args)`` on the config
+    ``tree``; ``correct`` reads no configuration."""
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(tree))
         for command, *args in argvs:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main([command, str(path), *args])
-            runs.append((code, out.getvalue()))
+            config = [] if command == "correct" else [str(path)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, *config, *args])
+            runs.append((code, out.getvalue(), err.getvalue()))
     return runs
 
 
 def _cli(tree: dict, command: str, *args: str) -> tuple[int, str]:
-    return _cli_runs(tree, (command, *args))[0]
+    return _cli_runs(tree, (command, *args))[0][:2]
 
 
 def _csv_row(text: str) -> dict[str, float]:
@@ -188,12 +190,26 @@ def test_config_round_trips_through_to_dict(tree):
 
 
 # Every subcommand that reads a configuration, except the oracle.
-CONFIG_COMMANDS = (
-    ("predict", "--corrected"),
-    ("sweep", "--anchor", "250:8.83", "--pmin", "0", "--pmax", "250", "--steps", "3"),
+SWEEP = ("sweep", "--anchor", "250:8.83", "--pmin", "0", "--pmax", "250", "--steps", "3")
+FITS = (
     ("fit", "--sq-db", "-5.8", "--asq-db", "12.72"),
     ("fit", "--joint", "--sq-db", "-5.8", "--asq-db", "12.72"),
 )
+CONFIG_COMMANDS = (("predict", "--corrected"), SWEEP, *FITS)
+
+# Each float flag and the commands that read it.  A drawn value is appended
+# as ``--flag=value``, which overrides the command's own value of that flag.
+CORRECT = ("correct", "--level-db=-5.6", "--clearance-db=-17.75")
+FLAG_COMMANDS = {
+    "--theta-deg": (SWEEP,),
+    "--pmin": (SWEEP,),
+    "--pmax": (SWEEP,),
+    "--level-db": (CORRECT,),
+    "--clearance-db": (CORRECT,),
+    "--sq-db": FITS,
+    "--asq-db": FITS,
+    "--duration": (("oracle", "--segments", "8"),),
+}
 
 
 def _reject_constant(name: str) -> float:
@@ -208,26 +224,54 @@ POWER_TREE = json.loads(packaged_config_path("paper_250mW_power.json").read_text
 
 
 def _at_every_edge(test):
-    for field, value in itertools.product(NUMERIC_FIELDS, EDGE_FLOATS):
-        test = example(tree=POWER_TREE, field=field, value=value)(test)
+    for field, value in itertools.product([*NUMERIC_FIELDS, *FLAG_COMMANDS], EDGE_FLOATS):
+        test = example(tree=POWER_TREE, entry=(field, value))(test)
     return test
+
+
+# Durations the oracle rejects before numpy loads, for every drawn
+# configuration: below 100 / gamma_total (gamma_total <= 2.7e10 rad/s), or
+# too long for any memory (dt <= 2.7e-7 s, so >= 3.7e17 steps a segment).
+REJECTED_DURATIONS = st.floats(max_value=1e-9) | st.floats(min_value=1e11) | st.just(math.nan)
+
+# A config field or a float flag, with the float it is set to.
+FIELD_ENTRY = st.tuples(
+    st.sampled_from([*NUMERIC_FIELDS, *(f for f in FLAG_COMMANDS if f != "--duration")]),
+    st.floats(),
+) | st.tuples(st.just("--duration"), REJECTED_DURATIONS)
+
+
+def _names(err: str, flag: str) -> bool:
+    """Whether the one-line ``error: PATH: ...`` names ``flag`` in its path."""
+    return err.count("\n") == 1 and flag in err.removeprefix("error: ").split(": ")[0].split("/")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @_at_every_edge
-@given(tree=config_tree, field=st.sampled_from(NUMERIC_FIELDS), value=st.floats())
-def test_any_float_in_a_config_field_exits_cleanly(tree, field, value):
-    # Every config-reading command but the oracle: a finite report, or a
+@given(tree=config_tree, entry=FIELD_ENTRY)
+def test_any_float_in_a_config_field_exits_cleanly(tree, entry):
+    # Every command that reads the field or flag: a finite report, or a
     # validation (2) or infeasibility (3) exit; only the pi/4 warning passes.
-    section, key = field
-    tree = {name: dict(fields) for name, fields in tree.items()}
-    tree[section][key] = value
+    # A non-finite config field is always rejected, a flag always by name,
+    # and the oracle is given only durations it rejects.
+    field, value = entry
+    if field in FLAG_COMMANDS:
+        argvs = [(*argv, f"{field}={value!r}") for argv in FLAG_COMMANDS[field]]
+    else:
+        section, key = field
+        tree = {name: dict(fields) for name, fields in tree.items()}
+        tree[section][key] = value
+        argvs = CONFIG_COMMANDS
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.filterwarnings("ignore", r"theta_rms = .* exceeds pi/4", UserWarning)
-        runs = _cli_runs(tree, *CONFIG_COMMANDS)
-    for argv, (code, out) in zip(CONFIG_COMMANDS, runs):
-        if not math.isfinite(value):
+        runs = _cli_runs(tree, *argvs)
+    for argv, (code, out, err) in zip(argvs, runs):
+        if field in FLAG_COMMANDS:
+            assert code != EXIT_VALIDATION or _names(err, field), (argv, err)
+        elif not math.isfinite(value):
+            assert (code, out) == (EXIT_VALIDATION, ""), argv
+        if argv[0] == "oracle":
             assert (code, out) == (EXIT_VALIDATION, ""), argv
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INFEASIBLE), argv
         if code != EXIT_OK:
@@ -235,6 +279,8 @@ def test_any_float_in_a_config_field_exits_cleanly(tree, field, value):
         if argv[0] == "sweep":
             for row in out.splitlines()[1:]:
                 assert all(math.isfinite(float(v)) for v in row.split(",")), (argv, row)
+        elif argv[0] == "correct":
+            assert math.isfinite(float(out)), argv
         else:
             json.loads(out, parse_constant=_reject_constant)
 
