@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, _named, _require
@@ -71,12 +73,13 @@ def _levels(pump_mw: float, x: float, r: QuadratureVariances, jitter: PhaseNoise
     )
 
 
-def _write_csv(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_csv(lines: Iterable[str], out: str | None = None) -> None:
+    """Write each line as it comes, to stdout or to the file ``out``."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(line + "\n" for line in lines)
     else:
-        Path(out).write_text(text, newline="\n")
+        with open(out, "w", newline="\n") as f:
+            f.writelines(line + "\n" for line in lines)
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -92,9 +95,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
-        keys = list(report)
-        print(",".join(keys))
-        print(",".join(_fmt(report[k]) for k in keys))
+        _write_csv([",".join(report), ",".join(_fmt(v) for v in report.values())])
     return EXIT_OK
 
 
@@ -126,25 +127,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--steps", "must be >= 1")
     if not 0 <= args.pmin <= args.pmax:
         raise ConfigError("--pmin/--pmax", "need 0 <= pmin <= pmax")
-    if args.pmax >= threshold_mw:
-        raise ConfigError(
-            "--pmax", f"{args.pmax} mW is at or above the {threshold_mw:.6g} mW threshold"
-        )
     if math.sqrt(args.pmax / threshold_mw) > PUMP_X_MAX:
-        raise ConfigError("--pmax", "too close to threshold for a finite prediction")
+        raise ConfigError(
+            "--pmax",
+            f"{args.pmax} mW is not far enough below the {threshold_mw:.6g} mW threshold",
+        )
     theta_deg = cfg.theta_rms_deg if args.theta_deg is None else args.theta_deg
     jitter = _named("--theta-deg", PhaseNoiseModel.from_degrees, theta_deg)
 
-    lines = [SWEEP_HEADER]
-    for i in range(args.steps):
-        if args.steps == 1:
-            power_mw = args.pmin
-        else:
-            power_mw = args.pmin + (args.pmax - args.pmin) * i / (args.steps - 1)
-        x = math.sqrt(power_mw / threshold_mw)
-        r = forward_variances(derived["alpha"], derived["rho"], x, derived["detuning"])
-        lines.append(_levels(power_mw, x, r, jitter))
-    _write_csv(lines, args.out)
+    def rows():
+        yield SWEEP_HEADER
+        for i in range(args.steps):
+            power_mw = args.pmin + (args.pmax - args.pmin) * i / max(args.steps - 1, 1)
+            x = math.sqrt(power_mw / threshold_mw)
+            r = forward_variances(derived["alpha"], derived["rho"], x, derived["detuning"])
+            yield _levels(power_mw, x, r, jitter)
+
+    _write_csv(rows(), args.out)
     return EXIT_OK
 
 
@@ -165,8 +164,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
     cfg = ExperimentConfig.from_file(args.config)
     derived = cfg.derived()
-    if args.joint and args.asq_db is None:
-        raise ConfigError("--asq-db", "required for a joint fit")
     measured = _named("--sq-db/--asq-db", MeasuredLevels, args.sq_db, args.asq_db)
 
     if args.joint:
@@ -218,14 +215,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
     pump_mw = cfg.pump_value if cfg.pump_mode == "power" else math.nan
     jitter = cfg.phase_noise()
-    lines = [ORACLE_HEADER]
-    for pt in points:
-        r = QuadratureVariances(pt.r_plus, pt.r_minus)
-        lines.append(
-            f"{_levels(pump_mw, x, r, jitter)},{_fmt(pt.stderr_plus)},"
-            f"{_fmt(pt.stderr_minus)},{pt.segments},{pt.seed}"
-        )
-    _write_csv(lines, args.out)
+    rows = (
+        f"{_levels(pump_mw, x, QuadratureVariances(pt.r_plus, pt.r_minus), jitter)},"
+        f"{_fmt(pt.stderr_plus)},{_fmt(pt.stderr_minus)},{pt.segments},{pt.seed}"
+        for pt in points
+    )
+    _write_csv([ORACLE_HEADER, *rows], args.out)
 
     if args.check:
         rho_rates = sim_cfg.gamma_out / sim_cfg.gamma_total
@@ -263,10 +258,9 @@ def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str
     derived = cfg.derived()
     results: list[tuple[str, bool, str]] = []
 
-    def check(name: str, got: float, expected: float, tol: float) -> bool:
+    def check(name: str, got: float, expected: float, tol: float) -> None:
         ok = abs(got - expected) <= tol
         results.append((name, ok, f"got {got:.4f}, expected {expected} +/- {tol}"))
-        return ok
 
     def read(name: str, field: str = "value", make=lambda value: value):
         value = _require(_require(records, "crystal_1", name), f"crystal_1.{name}", field)
@@ -416,7 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early (`| head`); send the rest to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except InfeasibleCorrectionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,45 @@ class TestSweep:
             )
             assert code == EXIT_VALIDATION, (extra, out)
             assert extra[0] in err.removeprefix("error: ").split(": ")[0].split("/"), err
+
+    def test_one_step_and_two_steps_start_on_the_same_row(self, capsys):
+        # One grid expression serves every step count, so a -0 mW start
+        # prints as 0 whether or not the sweep has a second row.
+        rows = []
+        for steps in ("1", "2"):
+            code, out, _ = _run(
+                capsys, "sweep", CONFIG, "--pmin=-0", "--pmax=-0", "--steps", steps,
+                "--anchor", "250:8.83",
+            )
+            assert code == EXIT_OK
+            rows.append(out.splitlines()[1])
+        assert rows[0] == rows[1] == "0,0,1,1,1,0,0,0,0"
+
+    def test_memory_does_not_grow_with_steps(self, tmp_path):
+        argv = ["sweep", CONFIG, "--pmin", "50", "--pmax", "450", "--steps", "20000",
+                "--anchor", "250:8.83", "--out", str(tmp_path / "sweep.csv")]
+        assert cli.main(argv) == EXIT_OK  # warm-up: first-call imports and caches
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Each row is written as it is made; a list of all 20,000 takes ~6 MB.
+        assert peak < 1_000_000
+
+    def test_reader_leaving_early_exits_0(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sqzopo", "sweep", CONFIG, "--pmin", "50", "--pmax", "450",
+             "--steps", "20000", "--anchor", "250:8.83"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline() == SWEEP_HEADER + "\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (EXIT_OK, "")
 
 
 class TestCorrect:
@@ -647,6 +687,12 @@ class TestExactOutput:
         code, out, err = _run(capsys, *argv)
         assert (code, err) == (EXIT_OK, "")
         assert out == expected
+
+    def test_out_file_bytes(self, capsys, tmp_path):
+        argv, expected = PINNED_OUTPUT["sweep-anchor"]
+        path = tmp_path / "sweep.csv"
+        assert _run(capsys, *argv, "--out", str(path)) == (EXIT_OK, "", "")
+        assert path.read_bytes() == expected.encode()
 
     def test_oracle_row_matches_library(self, capsys):
         code, out, _ = _run(capsys, "oracle", CONFIG, "--seed", "3", "--segments", "8")
