@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 
 from .model import (
-    PUMP_X_MAX, InfeasibleCorrectionError, QuadratureVariances, Record, forward_variances,
-    from_db, gain_from_x, to_db,
+    PUMP_X_MAX, InfeasibleCorrectionError, QuadratureVariances, Record, _check_pump_parameter,
+    forward_variances, from_db, gain_from_x, to_db,
 )
-from .phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
-
-THETA_MAX = math.pi / 4
+from .phase_noise import THETA_MAX, PhaseNoiseModel, _jitter_for, degrade_approx, degrade_exact
 
 # A fixed step count shrinks a unit bracket below one float spacing:
 # 0.618^80 for golden-section search.
@@ -67,8 +65,8 @@ class FitResult(Record):
             raise ValueError(f"residual must be >= 0, got {residual}")
         if not 0.0 <= theta_rms <= THETA_MAX:
             raise ValueError(f"theta_rms {theta_rms} outside [0, pi/4]")
-        if x is not None and not 0.0 <= x < 1.0:
-            raise ValueError(f"x {x} outside [0, 1)")
+        if x is not None:
+            _check_pump_parameter(x)
 
     @property
     def theta_rms_deg(self) -> float:
@@ -120,25 +118,6 @@ def _below_floor(target_minus: float, R: QuadratureVariances) -> bool:
     return target_minus < R.r_minus * (1.0 - 1e-12)
 
 
-def _jitter_mix(R: QuadratureVariances, target_minus: float) -> float:
-    """lam of the mix R'_- = (R_+ + R_-)/2 - lam (R_+ - R_-)/2 giving
-    ``target_minus``: exp(-2 theta_rms^2), or cos(2 theta_rms) if approx."""
-    spread = R.r_plus - R.r_minus
-    # No jitter changes an unsqueezed pair, so it needs none.
-    return (R.r_plus + R.r_minus - 2.0 * target_minus) / spread if spread > 0.0 else 1.0
-
-
-def _theta_from_mix(lam: float, use_approx: bool) -> float | None:
-    """Jitter width with mix factor ``lam``; None if that exceeds pi/4."""
-    if lam >= 1.0:
-        return 0.0
-    if use_approx:
-        theta = 0.5 * math.acos(max(lam, -1.0))
-    else:
-        theta = math.sqrt(-0.5 * math.log(lam)) if lam > 0.0 else math.inf
-    return theta if theta <= THETA_MAX else None
-
-
 def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
     """Minimize ``f`` on [lo, hi] by golden-section search; the endpoints
     are candidates too.  Returns (minimum, argmin)."""
@@ -178,7 +157,7 @@ def fit_theta(
     if _below_floor(target, predicted):
         theta, status = 0.0, "infeasible"
     else:
-        theta, status = _theta_from_mix(_jitter_mix(predicted, target), use_approx), "ok"
+        theta, status = _jitter_for(predicted, target, use_approx), "ok"
         theta = THETA_MAX if theta is None else theta
     degraded = degrade(predicted, PhaseNoiseModel(theta))
     residual = (degraded.r_minus_db - measured.squeezing_db) ** 2
@@ -223,7 +202,7 @@ def fit_joint(
         x = math.sqrt(2.0 * c * k * k / (math.sqrt(disc) - b))
         if x <= PUMP_X_MAX:
             R = forward_variances(alpha, rho, x, detuning)
-            theta = _theta_from_mix(_jitter_mix(R, target_minus), use_approx)
+            theta = _jitter_for(R, target_minus, use_approx)
             if theta is not None and not _below_floor(target_minus, R):
                 return FitResult(theta_rms=theta, residual=resid(x, theta), iterations=0, x=x)
 

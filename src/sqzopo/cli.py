@@ -85,7 +85,7 @@ def _write_csv(lines: Iterable[str], out: str | None = None) -> None:
 def _cmd_predict(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     report = cfg.derived()
-    if args.corrected:
+    if args.corrected or args.approx:
         degrade = degrade_approx if args.approx else degrade_exact
         r = QuadratureVariances(report["r_plus"], report["r_minus"])
         corrected = degrade(r, cfg.phase_noise())
@@ -223,9 +223,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     _write_csv([ORACLE_HEADER, *rows], args.out)
 
     if args.check:
-        rho_rates = sim_cfg.gamma_out / sim_cfg.gamma_total
+        # The oracle models the cavity alone: perfect detection, one sideband.
+        target = forward_variances(1.0, derived["rho"], x, derived["detuning"])
         for pt in points:
-            target = forward_variances(1.0, rho_rates, x, pt.omega / sim_cfg.gamma_total)
             if abs(pt.r_plus - target.r_plus) > 3.0 * pt.stderr_plus or abs(
                 pt.r_minus - target.r_minus
             ) > 3.0 * pt.stderr_minus:
@@ -295,10 +295,9 @@ def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str
     inferred_db = read("inferred_squeezing_db")
     ok_corr = True
     corr_note = "no clearance configured, correction step skipped"
-    if cfg.dark_clearance_db is not None:
-        corrected_db = dark_noise_correct(
-            read("measured_squeezing_db"), from_db(cfg.dark_clearance_db)
-        )
+    clearance = cfg.detection_chain().dark_clearance
+    if clearance is not None:
+        corrected_db = dark_noise_correct(read("measured_squeezing_db"), clearance)
         ok_corr = abs(corrected_db - inferred_db) <= read("inferred_squeezing_db", "uncertainty")
         corr_note = f"corrected raw level {corrected_db:.2f} dB vs {inferred_db} dB"
 

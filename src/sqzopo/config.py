@@ -182,7 +182,7 @@ class ExperimentConfig(Record):
         if self.pump_mode == "gain":
             return PumpOperatingPoint.from_gain(self.pump_value)
         if self.pump_mode == "x":
-            return PumpOperatingPoint.from_x(self.pump_value)
+            return PumpOperatingPoint(self.pump_value)
         if self.threshold_mW is None:
             raise ConfigError("pump.threshold_mW", "required when pump.mode is 'power'")
         return PumpOperatingPoint.from_power(

@@ -44,7 +44,7 @@ import math
 import os
 import threading
 
-from .model import SPEED_OF_LIGHT, OpoCavity, Record
+from .model import SPEED_OF_LIGHT, OpoCavity, Record, _check_pump_parameter
 
 # Bound on the dimensionless Euler step gamma_total (1 + x) dt / 2: smaller
 # steps keep the discrete update a faithful, stable model of the dynamics.
@@ -76,8 +76,7 @@ class LangevinConfig(Record):
             raise ValueError(f"gamma_out must be finite and > 0, got {gamma_out}")
         if not 0.0 <= gamma_loss < math.inf:
             raise ValueError(f"gamma_loss must be finite and >= 0, got {gamma_loss}")
-        if not 0.0 <= x < 1.0:
-            raise ValueError(f"pump parameter x must be in [0, 1), got {x}")
+        _check_pump_parameter(x)
         if not 0.0 < dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {dt}")
         for name, value in (("seed", seed), ("segments", segments)):

@@ -123,9 +123,9 @@ class DetectionChain(Record):
 
 class PumpOperatingPoint(Record):
     """How hard the OPO is pumped: the pump parameter x in [0, PUMP_X_MAX],
-    built from one of three equivalent readings -- x itself, the classical
-    parametric amplification gain G = 1/(1-x)^2, or a pump power with its
-    oscillation threshold (x = sqrt(P/P_th)).
+    built from one of three equivalent readings -- x itself (the constructor),
+    the classical parametric amplification gain G = 1/(1-x)^2, or a pump
+    power with its oscillation threshold (x = sqrt(P/P_th)).
 
     Only the physical inversion branch x = 1 - 1/sqrt(G) is accepted for
     gains, and operation must stay below threshold for powers.
@@ -134,10 +134,6 @@ class PumpOperatingPoint(Record):
     def __init__(self, x: float) -> None:
         self.__dict__.update(x=x)
         _check_pump_parameter(x)
-
-    @classmethod
-    def from_x(cls, x: float) -> PumpOperatingPoint:
-        return cls(x)
 
     @classmethod
     def from_gain(cls, gain: float) -> PumpOperatingPoint:

@@ -17,6 +17,8 @@ Three mutually checking evaluations are provided:
 
 All three conserve R'_plus + R'_minus = R_plus + R_minus: jitter only
 rebalances noise between the quadratures, it never adds or removes any.
+So the mix inverts in closed form: :func:`_jitter_for` gives the width that
+takes a pair to a measured squeezed variance, for both fits in calibration.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import math
 import warnings
 
 from .model import QuadratureVariances, Record
+
+# Widest jitter the Gaussian small-fluctuation picture is meant for.
+THETA_MAX = math.pi / 4
 
 
 class PhaseNoiseModel(Record):
@@ -39,7 +44,7 @@ class PhaseNoiseModel(Record):
         self.__dict__.update(theta_rms=theta_rms)
         if not 0.0 <= theta_rms < math.inf:
             raise ValueError(f"theta_rms must be finite and >= 0 rad, got {theta_rms}")
-        if theta_rms > math.pi / 4:
+        if theta_rms > THETA_MAX:
             warnings.warn(
                 f"theta_rms = {theta_rms:.3g} rad exceeds pi/4; the "
                 "small-jitter picture is outside its intended regime",
@@ -61,6 +66,21 @@ def _mix(R: QuadratureVariances, lam: float) -> QuadratureVariances:
         r_plus=c * R.r_plus + s * R.r_minus,
         r_minus=c * R.r_minus + s * R.r_plus,
     )
+
+
+def _jitter_for(R: QuadratureVariances, target_minus: float, use_approx: bool) -> float | None:
+    """Inverse of the mix: the jitter width that takes ``R`` to the squeezed
+    variance ``target_minus`` (small-angle form if ``use_approx``); None above pi/4."""
+    spread = R.r_plus - R.r_minus
+    # R'_- = (R_+ + R_-)/2 - lam (R_+ - R_-)/2; no jitter changes an unsqueezed pair.
+    lam = (R.r_plus + R.r_minus - 2.0 * target_minus) / spread if spread > 0.0 else 1.0
+    if lam >= 1.0:
+        return 0.0
+    if use_approx:
+        theta = 0.5 * math.acos(max(lam, -1.0))
+    else:
+        theta = math.sqrt(-0.5 * math.log(lam)) if lam > 0.0 else math.inf
+    return theta if theta <= THETA_MAX else None
 
 
 def degrade_exact(R: QuadratureVariances, model: PhaseNoiseModel) -> QuadratureVariances:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sqzopo.calibration import (
+    FitResult,
     InfeasibleCorrectionError,
     MeasuredLevels,
     dark_noise_correct,
@@ -118,6 +119,14 @@ class TestMeasuredLevels:
         assert fit_theta(levels, PREDICTED) == fit_theta(MeasuredLevels(-5.80, 12.72), PREDICTED)
         with pytest.raises(ValueError, match="anti-squeezing"):
             fit_joint(levels, 0.953, 0.932, 0.028)
+
+
+class TestFitResult:
+    def test_pump_range(self):
+        # The model's bound: x between PUMP_X_MAX and 1 is out of range too.
+        for x in (0.9999999995, 1.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"x must be in \[0, 0\.999999999\], got"):
+                FitResult(0.0, 0.0, 0, x=x)
 
 
 class TestFitTheta:

@@ -27,7 +27,7 @@ from sqzopo.config import ExperimentConfig
 from sqzopo.dataset import load_dataset
 from sqzopo.langevin import LangevinConfig, simulate_output_spectrum
 from sqzopo.model import QuadratureVariances
-from sqzopo.phase_noise import degrade_exact
+from sqzopo.phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
 
 CONFIG = str(cli.packaged_config_path())
 CONFIG_POWER = str(cli.packaged_config_path("paper_250mW_power.json"))
@@ -74,6 +74,16 @@ class TestPredict:
         approx = json.loads(out_approx)["r_minus_corrected_db"]
         assert exact != approx
         assert abs(exact - approx) < 0.05
+
+    def test_approx_implies_corrected(self, capsys):
+        code, out, _ = _run(capsys, "predict", CONFIG, "--approx")
+        report = json.loads(out)
+        assert code == EXIT_OK
+        predicted = QuadratureVariances(report["r_plus"], report["r_minus"])
+        approx = degrade_approx(predicted, PhaseNoiseModel.from_degrees(4.3))
+        assert report["theta_rms_deg"] == 4.3
+        assert report["r_plus_corrected_db"] == approx.r_plus_db
+        assert report["r_minus_corrected_db"] == approx.r_minus_db
 
     def test_csv_format(self, capsys):
         code, out, _ = _run(capsys, "predict", CONFIG, "--format", "csv")
@@ -240,7 +250,7 @@ class TestSweep:
             )
             assert code == EXIT_VALIDATION, (anchor, out)
 
-    @pytest.mark.parametrize("anchor", ["250:0.5", "250:1e33", "250:1e20"])
+    @pytest.mark.parametrize("anchor", ["250:0.5", "250:1e33", "250:1e20", "250:1"])
     def test_rejected_anchor_gain_is_named(self, capsys, anchor):
         code, out, err = _run(
             capsys, "sweep", CONFIG, "--pmin", "50", "--pmax", "200", "--anchor", anchor
@@ -258,6 +268,13 @@ class TestSweep:
             )
             assert code == EXIT_VALIDATION, (extra, out)
             assert extra[0] in err.removeprefix("error: ").split(": ")[0].split("/"), err
+
+    def test_no_steps_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys, "sweep", CONFIG, "--pmin", "50", "--pmax", "450", "--steps", "0",
+            "--anchor", "250:8.83",
+        )
+        assert (code, out, err) == (EXIT_VALIDATION, "", "error: --steps: must be >= 1\n")
 
     def test_one_step_and_two_steps_start_on_the_same_row(self, capsys):
         # One grid expression serves every step count, so a -0 mW start
@@ -563,8 +580,9 @@ class TestBenchmarkDataset:
             lambda recs: recs["inferred_squeezing_db"].pop("anchor"),
             lambda recs: recs["inferred_anti_squeezing_db"].update(value="abc"),
             lambda recs: recs["inferred_squeezing_db"].update(uncertainty=math.inf),
+            lambda recs: recs["inferred_squeezing_db"].update(anchor=5),
         ],
-        ids=["missing-anchor", "string-value", "inf-uncertainty"],
+        ids=["missing-anchor", "string-value", "inf-uncertainty", "number-anchor"],
     )
     def test_list_with_malformed_crystal_2_exits_2(self, capsys, tmp_path, corrupt):
         data = load_dataset()
@@ -575,6 +593,16 @@ class TestBenchmarkDataset:
             code, out, err = _run(capsys, "paper", mode, "--dataset", str(path))
             assert code == EXIT_VALIDATION
             assert out == "" and err.startswith("error: crystal_2.")
+
+    def test_crystal_without_a_string_name_is_named(self, capsys, tmp_path):
+        data = load_dataset()
+        data["crystals"][1]["name"] = 5
+        path = tmp_path / "nameless.json"
+        path.write_text(json.dumps(data))
+        for mode in ("--list", "--check"):
+            code, out, err = _run(capsys, "paper", mode, "--dataset", str(path))
+            assert (code, out) == (EXIT_VALIDATION, "")
+            assert err == "error: crystals[1].name: expected a string\n"
 
     def test_malformed_json_dataset_is_named(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

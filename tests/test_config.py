@@ -62,6 +62,18 @@ class TestValidationPaths:
             ExperimentConfig.from_dict(raw)
         assert exc.value.path == "laser"
 
+    def test_root_not_an_object(self):
+        with pytest.raises(ConfigError, match="must be a JSON object") as exc:
+            ExperimentConfig.from_dict([1])
+        assert exc.value.path == "<root>"
+
+    def test_section_not_an_object(self):
+        raw = _base_dict()
+        raw["cavity"] = 3
+        with pytest.raises(ConfigError, match="section must be a JSON object") as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == "cavity"
+
     def test_unknown_field(self):
         raw = _base_dict()
         raw["cavity"]["finesse"] = 300

@@ -61,8 +61,10 @@ class TestConfigValidation:
             _config(0.0, seed=1, segments=7, steps=4096)
 
     def test_pump_range(self):
-        with pytest.raises(ValueError):
-            _config(1.0, seed=1, segments=8, steps=4096)
+        # The model's bound: x between PUMP_X_MAX and 1 is out of range too.
+        for x in (0.9999999995, 1.0):
+            with pytest.raises(ValueError, match=r"x must be in \[0, 0\.999999999\], got"):
+                _config(x, seed=1, segments=8, steps=4096)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -93,6 +95,11 @@ class TestConfigValidation:
         cfg = _config(0.0, seed=1, segments=8, steps=4096)
         with pytest.raises(ValueError):
             simulate_output_spectrum(cfg, [-1.0])
+
+    def test_no_frequency_rejected(self):
+        cfg = _config(0.0, seed=1, segments=8, steps=4096)
+        with pytest.raises(ValueError, match="at least one sideband frequency"):
+            simulate_output_spectrum(cfg, [])
 
     @pytest.mark.parametrize(
         "steps, segments", [(10**13, 8), (4096, 10**13)], ids=["duration", "segments"]

@@ -129,7 +129,7 @@ class TestPumpParameter:
         assert x == pytest.approx(BENCH_X, rel=1e-12)
 
     def test_x_passthrough(self):
-        assert pump_parameter(PumpOperatingPoint.from_x(0.3)) == 0.3
+        assert pump_parameter(PumpOperatingPoint(0.3)) == 0.3
 
     def test_deamplification_gain_rejected(self):
         with pytest.raises(ValueError, match="amplification"):
@@ -141,9 +141,9 @@ class TestPumpParameter:
 
     def test_x_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            PumpOperatingPoint.from_x(1.0)
+            PumpOperatingPoint(1.0)
         with pytest.raises(ValueError):
-            PumpOperatingPoint.from_x(-0.1)
+            PumpOperatingPoint(-0.1)
 
     def test_gain_rounding_x_to_one_rejected(self):
         # 1 - 1/sqrt(1e33) rounds to exactly 1.0, the threshold itself
