@@ -26,11 +26,12 @@ Determinism: every segment draws its noise from generators seeded by
 port), 1 (loss port) and 2 (initial intracavity state), and each
 segment's estimate is stored by its index.  Segments run in blocks of two
 on one thread per CPU the process may use, each bound to its own CPU,
-taking the next free block and drawing and transforming into buffers it
-allocates once per call (numpy's draws, FFTs and sums release the GIL;
-``rfft``'s ``out=`` needs numpy >= 2.0), and the results are bit-identical
-whatever the thread count.  Each port stream yields one row of increments
-per quadrature.  Segments start from the exact stationary distribution of
+taking the next free block: a worker draws it into one buffer and
+transforms it a segment at a time into another, both allocated once per
+call (numpy's draws, FFTs and sums release the GIL; ``rfft``'s ``out=``
+needs numpy >= 2.0), and the results are bit-identical whatever the
+thread count.  Each port stream yields one row of increments per
+quadrature.  Segments start from the exact stationary distribution of
 the discrete update rule, so no burn-in transient enters the estimate.
 
 numpy is imported inside the functions that compute with it, so importing
@@ -44,7 +45,7 @@ import math
 import os
 import threading
 
-from .model import SPEED_OF_LIGHT, OpoCavity, Record, _check_pump_parameter
+from .model import SPEED_OF_LIGHT, OpoCavity, Record, _check_pump_parameter, _set
 
 # Bound on the dimensionless Euler step gamma_total (1 + x) dt / 2: smaller
 # steps keep the discrete update a faithful, stable model of the dynamics.
@@ -52,11 +53,9 @@ STABILITY_LIMIT = 0.1
 
 MIN_SEGMENTS = 8
 
-# Segments a worker draws and transforms at once, into buffers it allocates
-# once a call.  On 32 segments of 32,768 steps and 2 CPUs, a block of 2 holds
-# half the memory of a block of 4 (tracemalloc peak 4.8 against 9.0 MB) and
-# takes fewer minor faults (0.8-1.6 against 2.6-2.8 thousand a call); a block
-# of 1 takes ~19 thousand and ~30% more CPU.
+# Segments a worker draws at once, into a buffer it allocates once a call, and
+# then transforms one at a time.  On 32 segments of 32,768 steps and 2 CPUs, a
+# block of 1 takes ~19 thousand minor faults a call (2: 1.3) and ~30% more CPU.
 _BLOCK = 2
 
 
@@ -68,10 +67,13 @@ class LangevinConfig(Record):
         self, gamma_out: float, gamma_loss: float, x: float, dt: float, duration: float,
         seed: int, segments: int,
     ) -> None:
-        self.__dict__.update(
-            gamma_out=gamma_out, gamma_loss=gamma_loss, x=x, dt=dt, duration=duration, seed=seed,
-            segments=segments,
-        )
+        _set(self, "gamma_out", gamma_out)
+        _set(self, "gamma_loss", gamma_loss)
+        _set(self, "x", x)
+        _set(self, "dt", dt)
+        _set(self, "duration", duration)
+        _set(self, "seed", seed)
+        _set(self, "segments", segments)
         if not 0.0 < gamma_out < math.inf:
             raise ValueError(f"gamma_out must be finite and > 0, got {gamma_out}")
         if not 0.0 <= gamma_loss < math.inf:
@@ -136,10 +138,14 @@ class SpectrumPoint(Record):
         self, omega: float, r_plus: float, r_minus: float, stderr_plus: float,
         stderr_minus: float, segments: int, seed: int, bin_spacing_hz: float,
     ) -> None:
-        self.__dict__.update(
-            omega=omega, r_plus=r_plus, r_minus=r_minus, stderr_plus=stderr_plus,
-            stderr_minus=stderr_minus, segments=segments, seed=seed, bin_spacing_hz=bin_spacing_hz,
-        )
+        _set(self, "omega", omega)
+        _set(self, "r_plus", r_plus)
+        _set(self, "r_minus", r_minus)
+        _set(self, "stderr_plus", stderr_plus)
+        _set(self, "stderr_minus", stderr_minus)
+        _set(self, "segments", segments)
+        _set(self, "seed", seed)
+        _set(self, "bin_spacing_hz", bin_spacing_hz)
 
 
 def _segment_rng(seed: int, segment: int, stream: int) -> np.random.Generator:
@@ -174,13 +180,13 @@ def simulate_output_spectrum(
                 f"sideband frequency {om:.3g} rad/s exceeds the Nyquist "
                 f"band of dt = {cfg.dt:.3g} s"
             )
-    # One worker per usable CPU holds one block of one port's draws (16 bytes
-    # a step a segment) and their rfft (16); the tail powers take 16 a step
-    # and the estimates 16 a frequency.
+    # One worker per usable CPU holds one block of draws (16 bytes a step a
+    # segment) and one segment's rfft (16 a step); the tail powers take 16 a
+    # step and the estimates 16 a segment a frequency.
     pinnable = hasattr(os, "sched_setaffinity")
     cpus = sorted(os.sched_getaffinity(0)) if pinnable else range(os.cpu_count() or 1)
     workers = min(len(cpus), -(-cfg.segments // _BLOCK))
-    needed = 32 * workers * _BLOCK * n_steps + 16 * n_steps + 16 * cfg.segments * len(omegas)
+    needed = 16 * workers * (_BLOCK + 1) * n_steps + 16 * n_steps + 16 * cfg.segments * len(omegas)
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > available:
         raise ValueError(f"{cfg.segments} segments of {n_steps} steps need {needed} bytes "
@@ -227,7 +233,7 @@ def simulate_output_spectrum(
                 with contextlib.suppress(OSError):  # placement only, never results
                     os.sched_setaffinity(0, {cpu})
             noise = np.empty((_BLOCK, 2, n_steps))
-            spec = np.empty((_BLOCK, 2, n_steps // 2 + 1), complex)
+            spec = np.empty((2, n_steps // 2 + 1), complex)
             for start in blocks:
                 if errors:
                     return
@@ -237,8 +243,9 @@ def simulate_output_spectrum(
                 for stream in (0, 1):  # output port, then loss port
                     for row, seg in enumerate(segs):
                         _segment_rng(cfg.seed, seg, stream).standard_normal(out=noise[row])
-                    # the fancy index copies, so spec is free for the next port
-                    port_bins.append(np.fft.rfft(noise[:m], out=spec[:m])[..., bins])
+                    # the fancy index copies, so spec is free for the next segment
+                    rows = [np.fft.rfft(draws, out=spec)[..., bins] for draws in noise[:m]]
+                    port_bins.append(np.stack(rows))
                     port_tails.append(np.einsum("sqk,qk->sq", noise[:m], tail))
                 xi = np.array([_segment_rng(cfg.seed, seg, 2).standard_normal(2) for seg in segs])
                 (u_bins, v_bins), (u_tail, v_tail) = port_bins, port_tails

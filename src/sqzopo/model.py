@@ -25,6 +25,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 # reject instead of returning inf.
 PUMP_X_MAX = 1.0 - 1e-9
 
+_set = object.__setattr__  # stores a Record field past Record.__setattr__
+
 
 def _check_pump_parameter(x: float) -> None:
     if not 0.0 <= x <= PUMP_X_MAX:
@@ -60,9 +62,9 @@ class InfeasibleCorrectionError(ValueError):
 
 
 class Record:
-    """Immutable value object.  A subclass's ``__init__`` stores its fields,
-    in signature order, with one ``self.__dict__.update`` and then checks
-    them; records compare, hash and print by those fields."""
+    """Immutable value object.  A subclass's ``__init__`` stores its fields
+    with ``_set``, one at a time in signature order, so its instances share
+    one key table, then checks them; they compare, hash and print by them."""
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -88,7 +90,9 @@ class OpoCavity(Record):
     round-trip length in meters."""
 
     def __init__(self, T: float, L: float, round_trip_length: float) -> None:
-        self.__dict__.update(T=T, L=L, round_trip_length=round_trip_length)
+        _set(self, "T", T)
+        _set(self, "L", L)
+        _set(self, "round_trip_length", round_trip_length)
         if not 0.0 < T < 1.0:
             raise ValueError(f"T must be in (0, 1), got {T}")
         if not 0.0 <= L < 1.0:
@@ -113,7 +117,10 @@ class DetectionChain(Record):
     def __init__(
         self, zeta: float, eta: float, xi: float, dark_clearance: float | None = None
     ) -> None:
-        self.__dict__.update(zeta=zeta, eta=eta, xi=xi, dark_clearance=dark_clearance)
+        _set(self, "zeta", zeta)
+        _set(self, "eta", eta)
+        _set(self, "xi", xi)
+        _set(self, "dark_clearance", dark_clearance)
         for name, v in (("zeta", zeta), ("eta", eta), ("xi", xi)):
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
@@ -132,7 +139,7 @@ class PumpOperatingPoint(Record):
     """
 
     def __init__(self, x: float) -> None:
-        self.__dict__.update(x=x)
+        _set(self, "x", x)
         _check_pump_parameter(x)
 
     @classmethod
@@ -167,7 +174,8 @@ class QuadratureVariances(Record):
     """
 
     def __init__(self, r_plus: float, r_minus: float) -> None:
-        self.__dict__.update(r_plus=r_plus, r_minus=r_minus)
+        _set(self, "r_plus", r_plus)
+        _set(self, "r_minus", r_minus)
         if not (0.0 < r_plus < math.inf and 0.0 < r_minus < math.inf):
             raise ValueError(f"variances must be finite and > 0, got ({r_plus}, {r_minus})")
 
@@ -238,4 +246,4 @@ def forward_variances(
     # threshold.
     r_plus = (plus_den + 4.0 * alpha * rho * x) / plus_den
     r_minus = (plus_den + 4.0 * x * (1.0 - alpha * rho)) / minus_den
-    return QuadratureVariances(r_plus=r_plus, r_minus=r_minus)
+    return QuadratureVariances(r_plus, r_minus)

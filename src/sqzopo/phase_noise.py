@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .model import QuadratureVariances, Record
+from .model import QuadratureVariances, Record, _set
 
 # Widest jitter the Gaussian small-fluctuation picture is meant for.
 THETA_MAX = math.pi / 4
@@ -41,7 +41,7 @@ class PhaseNoiseModel(Record):
     """
 
     def __init__(self, theta_rms: float) -> None:
-        self.__dict__.update(theta_rms=theta_rms)
+        _set(self, "theta_rms", theta_rms)
         if not 0.0 <= theta_rms < math.inf:
             raise ValueError(f"theta_rms must be finite and >= 0 rad, got {theta_rms}")
         if theta_rms > THETA_MAX:
@@ -62,10 +62,7 @@ def _mix(R: QuadratureVariances, lam: float) -> QuadratureVariances:
     # identity, lam = 0 full scrambling, lam = -1 a swap.
     c = 0.5 * (1.0 + lam)
     s = 0.5 * (1.0 - lam)
-    return QuadratureVariances(
-        r_plus=c * R.r_plus + s * R.r_minus,
-        r_minus=c * R.r_minus + s * R.r_plus,
-    )
+    return QuadratureVariances(c * R.r_plus + s * R.r_minus, c * R.r_minus + s * R.r_plus)
 
 
 def _jitter_for(R: QuadratureVariances, target_minus: float, use_approx: bool) -> float | None:
@@ -139,4 +136,4 @@ def degrade_quadrature(R: QuadratureVariances, model: PhaseNoiseModel) -> Quadra
                 f"refinement {QUADRATURE_NODES} -> {2 * QUADRATURE_NODES} nodes "
                 f"moved the estimate from {a} to {b}; reduce theta_rms"
             )
-    return QuadratureVariances(r_plus=fine[0], r_minus=fine[1])
+    return QuadratureVariances(fine[0], fine[1])

@@ -128,6 +128,13 @@ class TestFitResult:
             with pytest.raises(ValueError, match=r"x must be in \[0, 0\.999999999\], got"):
                 FitResult(0.0, 0.0, 0, x=x)
 
+    def test_residual_and_theta_range(self):
+        # The fits never produce these; a direct construction must not either.
+        with pytest.raises(ValueError, match=r"residual must be >= 0, got -1e-12"):
+            FitResult(0.075, -1e-12, 0)
+        with pytest.raises(ValueError, match=r"theta_rms 0\.785398164\d* outside \[0, pi/4\]"):
+            FitResult(math.pi / 4 + 1e-9, 0.0, 0)
+
 
 class TestFitTheta:
     def test_benchmark_recovery(self):

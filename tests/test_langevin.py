@@ -205,9 +205,10 @@ class TestConcurrency:
 
 class TestWorkingSet:
     def test_one_two_segment_block_per_worker(self, monkeypatch):
-        # criterion 9's shape on 2 CPUs: each worker's draws and rfft for one
-        # block of two segments (32 bytes a step a segment each), the tail
-        # powers (16 a step) and the estimates (16 a segment a frequency)
+        # criterion 9's shape on 2 CPUs: each worker's draws for one block of
+        # two segments (16 bytes a step a segment) and the rfft of one segment
+        # (16 a step), the tail powers (16 a step) and the estimates (16 a
+        # segment a frequency)
         monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1})
         workers, steps, segments = 2, 32768, 32
         omegas = [k * 0.1 * GAMMA for k in range(16)]
@@ -220,7 +221,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 64 * workers * steps + 16 * steps + 16 * segments * len(omegas)
+        bound = 48 * workers * steps + 16 * steps + 16 * segments * len(omegas)
         assert peak <= 1.05 * bound
 
 

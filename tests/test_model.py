@@ -8,6 +8,7 @@ values are checked at the tolerance the source experiment quotes them to.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,13 @@ class TestPumpParameter:
         with pytest.raises(ValueError, match="threshold"):
             PumpOperatingPoint.from_power(0.6, 0.5679)
 
+    def test_power_reading_rejected_in_the_library(self):
+        # a config never gets here: its number and threshold checks come first
+        with pytest.raises(ValueError, match="threshold power must be finite and > 0 W, got inf"):
+            PumpOperatingPoint.from_power(0.1, math.inf)
+        with pytest.raises(ValueError, match="pump power must be >= 0 W, got -0.1"):
+            PumpOperatingPoint.from_power(-0.1, 1.0)
+
     def test_x_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             PumpOperatingPoint(1.0)
@@ -258,9 +266,10 @@ class TestDbConversion:
             assert from_db(to_db(float(v))) == pytest.approx(v, rel=1e-12)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
+        # math.log10 raises its own ValueError here; the message is to_db's
+        with pytest.raises(ValueError, match="linear power ratio must be > 0, got 0.0"):
             to_db(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="linear power ratio must be > 0, got -2.0"):
             to_db(-2.0)
 
     def test_level_beyond_float_range_rejected(self):
@@ -346,6 +355,9 @@ def test_record_contract(cls, required, defaults, change):
 
     other = cls(**{**fields, **change})
     assert record != other and not record == other
+    # the README's copy idiom
+    assert type(record)(**{**vars(record), **change}) == other
+    assert vars(record) == fields
     assert record != type("Other", (cls,), {})(**fields)
     assert record != tuple(fields.values())
     assert hash(record) == hash(cls(**fields))
@@ -362,3 +374,27 @@ def test_record_contract(cls, required, defaults, change):
 
     shown = ", ".join(f"{key}={val!r}" for key, val in fields.items())
     assert repr(record) == f"{cls.__name__}({shown})"
+
+
+def test_records_share_their_key_table():
+    # A record stores its fields one at a time, so its instances share one
+    # key table; an instance dict filled by one update call owns its own.
+    class Updated:
+        def __init__(self, **fields):
+            self.__dict__.update(fields)
+
+    fields = dict(omega=1.0, r_plus=2.0, r_minus=0.5, stderr_plus=0.1, stderr_minus=0.01,
+                  segments=8, seed=0, bin_spacing_hz=0.1)
+
+    def bytes_each(build):
+        build()  # a class's key table is made by its first instance
+        tracemalloc.start()
+        try:
+            kept = [build() for _ in range(10_000)]
+            return tracemalloc.get_traced_memory()[0] / len(kept)
+        finally:
+            tracemalloc.stop()
+
+    assert bytes_each(lambda: SpectrumPoint(**fields)) <= 0.75 * bytes_each(
+        lambda: Updated(**fields)
+    )
