@@ -1,6 +1,6 @@
 """Command-line surface: predictions, dark-noise corrections, jitter fits,
 pump-power sweeps, Monte-Carlo oracle runs, and the embedded benchmark
-dataset.
+dataset, which :mod:`sqzopo.dataset` reads, lists and checks.
 
 Exit codes: 0 success, 1 a `paper --check` criterion failed, 2 validation
 error, 3 infeasible fit or correction, 4 oracle assertion failure.  Reports
@@ -18,7 +18,7 @@ import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, _named, _require
+from .config import ConfigError, ExperimentConfig, _named
 from .model import (
     PUMP_X_MAX,
     InfeasibleCorrectionError,
@@ -208,143 +208,49 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         cavity, x=x, dt=dt, duration=duration, seed=args.seed, segments=args.segments,
     )
     # The memory guard reads the run's size, the Nyquist check the sideband.
-    points = _named(
+    (pt,) = _named(
         "--duration/--segments/measurement.frequency_hz", simulate_output_spectrum,
         sim_cfg, [cfg.omega()],
     )
 
     pump_mw = cfg.pump_value if cfg.pump_mode == "power" else math.nan
-    jitter = cfg.phase_noise()
-    rows = (
-        f"{_levels(pump_mw, x, QuadratureVariances(pt.r_plus, pt.r_minus), jitter)},"
+    r = QuadratureVariances(pt.r_plus, pt.r_minus)
+    row = (
+        f"{_levels(pump_mw, x, r, cfg.phase_noise())},"
         f"{_fmt(pt.stderr_plus)},{_fmt(pt.stderr_minus)},{pt.segments},{pt.seed}"
-        for pt in points
     )
-    _write_csv([ORACLE_HEADER, *rows], args.out)
+    _write_csv([ORACLE_HEADER, row], args.out)
 
     if args.check:
         # The oracle models the cavity alone: perfect detection, one sideband.
         target = forward_variances(1.0, derived["rho"], x, derived["detuning"])
-        for pt in points:
-            if abs(pt.r_plus - target.r_plus) > 3.0 * pt.stderr_plus or abs(
-                pt.r_minus - target.r_minus
-            ) > 3.0 * pt.stderr_minus:
-                print(
-                    f"oracle mismatch at omega = {pt.omega:.6g} rad/s: "
-                    f"({pt.r_plus:.4f}, {pt.r_minus:.4f}) vs "
-                    f"({target.r_plus:.4f}, {target.r_minus:.4f}) "
-                    f"at 3 standard errors",
-                    file=sys.stderr,
-                )
-                return EXIT_ORACLE_MISMATCH
+        if abs(pt.r_plus - target.r_plus) > 3.0 * pt.stderr_plus or abs(
+            pt.r_minus - target.r_minus
+        ) > 3.0 * pt.stderr_minus:
+            print(
+                f"oracle mismatch at omega = {pt.omega:.6g} rad/s: "
+                f"({pt.r_plus:.4f}, {pt.r_minus:.4f}) vs "
+                f"({target.r_plus:.4f}, {target.r_minus:.4f}) "
+                f"at 3 standard errors",
+                file=sys.stderr,
+            )
+            return EXIT_ORACLE_MISMATCH
     return EXIT_OK
 
 
-# -- benchmark dataset -------------------------------------------------
-
-CHECK_TOL_EFFICIENCY = 0.001
-CHECK_TOL_SQUEEZING_DB = 0.10
-CHECK_TOL_ANTI_DB = 0.05
-
-
-def _reproduction_checks(records: dict, cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
-    """Evaluate the full reproduction pipeline against the dataset records.
-
-    Each record is required where a check reads it, and nowhere else.
-    Returns one (name, passed, detail) triple per check, in order.
-    """
-    from .calibration import MeasuredLevels, dark_noise_correct, fit_theta
-
-    derived = cfg.derived()
-    results: list[tuple[str, bool, str]] = []
-
-    def check(name: str, got: float, expected: float, tol: float) -> None:
-        ok = abs(got - expected) <= tol
-        results.append((name, ok, f"got {got:.4f}, expected {expected} +/- {tol}"))
-
-    def read(name: str, field: str = "value", make=lambda value: value):
-        value = _require(_require(records, "crystal_1", name), f"crystal_1.{name}", field)
-        # A record the domain object rejects is named like a malformed one.
-        return _named(f"crystal_1.{name}", make, value)
-
-    rho, alpha, omega_ratio = read("rho"), read("alpha"), read("detuning")
-    check("escape efficiency", derived["rho"], rho, CHECK_TOL_EFFICIENCY)
-    check("detection efficiency", derived["alpha"], alpha, CHECK_TOL_EFFICIENCY)
-    check("detuning", derived["detuning"], omega_ratio, CHECK_TOL_EFFICIENCY)
-
-    # Predictions are evaluated at the quoted calibration values, not the
-    # recomputed ones, so each check isolates one claim.
-    x = read("gain", make=lambda gain: PumpOperatingPoint.from_gain(gain).x)
-    predicted = forward_variances(alpha, rho, x, omega_ratio)
-    jitter = read("theta_rms_deg", make=PhaseNoiseModel.from_degrees)
-    for name, prefix, r in (
-        ("jitter-free prediction", "predicted", predicted),
-        ("jitter-corrected prediction", "corrected", degrade_exact(predicted, jitter)),
-    ):
-        sq_db = read(f"{prefix}_squeezing_db")
-        asq_db = read(f"{prefix}_anti_squeezing_db")
-        ok = (
-            abs(r.r_minus_db - sq_db) <= CHECK_TOL_SQUEEZING_DB
-            and abs(r.r_plus_db - asq_db) <= CHECK_TOL_ANTI_DB
-        )
-        detail = f"got ({r.r_minus_db:.2f}, {r.r_plus_db:.2f}) dB, expected ({sq_db}, {asq_db}) dB"
-        results.append((name, ok, detail))
-
-    # Correction step: the configured clearance must map the raw measured
-    # level onto the quoted inferred one before the inferred level is fit.
-    inferred_db = read("inferred_squeezing_db")
-    ok_corr = True
-    corr_note = "no clearance configured, correction step skipped"
-    clearance = cfg.detection_chain().dark_clearance
-    if clearance is not None:
-        corrected_db = dark_noise_correct(read("measured_squeezing_db"), clearance)
-        ok_corr = abs(corrected_db - inferred_db) <= read("inferred_squeezing_db", "uncertainty")
-        corr_note = f"corrected raw level {corrected_db:.2f} dB vs {inferred_db} dB"
-
-    measured = MeasuredLevels(
-        squeezing_db=inferred_db,
-        anti_squeezing_db=read("inferred_anti_squeezing_db"),
-    )
-    fit = fit_theta(measured, predicted)
-    expected_theta = read("theta_rms_deg")
-    theta_tol = read("theta_rms_deg", "uncertainty")
-    ok = (
-        ok_corr
-        and fit.status == "ok"
-        and abs(fit.theta_rms_deg - expected_theta) <= theta_tol
-    )
-    results.append(
-        (
-            "jitter recovery from measured squeezing",
-            ok,
-            f"got {fit.theta_rms_deg:.2f} deg, expected {expected_theta} +/- "
-            f"{theta_tol} deg ({corr_note})",
-        )
-    )
-    return results
-
-
 def _cmd_paper(args: argparse.Namespace) -> int:
-    from .dataset import crystal, load_dataset
+    from . import dataset
 
-    data = load_dataset(args.dataset)
+    data = dataset.load_dataset(args.dataset)
     if args.list:
-        print(data.get("experiment", "benchmark dataset"))
-        for entry in data["crystals"]:
-            print(f"\n{entry['name']}:")
-            for name, rec in entry["records"].items():
-                unc = f" +/- {rec['uncertainty']}" if "uncertainty" in rec else ""
-                print(f"  {name} = {rec['value']}{unc}")
-                print(f"      [{rec['anchor']}]")
+        for line in dataset.listing(data):
+            print(line)
         return EXIT_OK
 
-    cfg = ExperimentConfig.from_file(packaged_config_path())
-    results = _reproduction_checks(crystal(data, "crystal_1"), cfg)
-    failed = False
+    results = dataset.reproduce(data, ExperimentConfig.from_file(packaged_config_path()))
     for i, (name, ok, detail) in enumerate(results, start=1):
         print(f"{'PASS' if ok else 'FAIL'}  [{i}] {name}: {detail}")
-        failed = failed or not ok
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -63,19 +63,24 @@ class InfeasibleCorrectionError(ValueError):
 
 class Record:
     """Immutable value object.  A subclass's ``__init__`` stores its fields
-    with ``_set``, one at a time in signature order, so its instances share
-    one key table, then checks them; they compare, hash and print by them."""
+    with ``_set`` in signature order, so its instances share one key table,
+    then checks them; they compare, hash and print by name (no ``__dict__``)."""
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.__dict__ == other.__dict__
+        names = self._fields
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
 
     def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
+        return hash(tuple([getattr(self, name) for name in self._fields]))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -2,9 +2,9 @@
 tolerance, one printed PASS line per criterion (run with ``pytest -s`` to
 see them).
 
-Criteria 9 and 10 run the fixed-seed Monte-Carlo grid and the
-synthesize-then-fit property; together they dominate the runtime
-(about 16 s of the suite's ~32 s on 2 cores).
+Criterion 9 runs the fixed-seed Monte-Carlo grid and dominates the
+runtime (about 15 s of the suite's ~34 s on 2 cores); criterion 10, the
+synthesize-then-fit property, takes milliseconds.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sqzopo import cli
+from sqzopo import cli, dataset
 from sqzopo.calibration import MeasuredLevels, fit_joint
 from sqzopo.cli import (
     EXIT_CHECK_FAILED,
@@ -612,6 +612,32 @@ class TestBenchmarkDataset:
                 code, out, err = _run(capsys, "paper", mode, "--dataset", str(path))
                 assert (code, out) == (EXIT_VALIDATION, ""), content
                 assert err.startswith(f"error: {path}: not valid JSON: ")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda recs: recs.pop("inferred_anti_squeezing_db"),
+            lambda recs: recs["inferred_anti_squeezing_db"].update(value=999.0),
+        ],
+        ids=["missing", "999-dB"],
+    )
+    def test_check_reads_no_unchecked_anti_squeezing_record(self, capsys, tmp_path, corrupt):
+        # No check compares crystal_1's inferred anti-squeezing level, and the
+        # jitter-only fit reads the squeezing level alone.
+        data = load_dataset()
+        corrupt(data["crystals"][0]["records"])
+        path = tmp_path / "no_anti.json"
+        path.write_text(json.dumps(data))
+        shipped = _run(capsys, "paper", "--check")
+        assert _run(capsys, "paper", "--check", "--dataset", str(path)) == shipped
+        assert shipped[0] == EXIT_OK
+
+    def test_library_checks_match_the_command(self, capsys):
+        results = dataset.reproduce(load_dataset(), ExperimentConfig.from_file(CONFIG))
+        lines = [f"{'PASS' if ok else 'FAIL'}  [{i}] {name}: {detail}\n"
+                 for i, (name, ok, detail) in enumerate(results, start=1)]
+        assert len(results) == 6 and all(ok for _, ok, _ in results)
+        assert "".join(lines) == _run(capsys, "paper", "--check")[1]
 
     def test_list_and_check_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -398,3 +398,20 @@ def test_records_share_their_key_table():
     assert bytes_each(lambda: SpectrumPoint(**fields)) <= 0.75 * bytes_each(
         lambda: Updated(**fields)
     )
+
+
+def test_comparing_hashing_and_printing_keep_no_dict():
+    # Reading a record's __dict__ would build one per instance and keep it
+    # (64 B); hashing a tuple(generator) would park up to 2,000 resized
+    # tuples on the free list (21 B an instance here).
+    fields = dict(omega=1.0, r_plus=2.0, r_minus=0.5, stderr_plus=0.1, stderr_minus=0.01,
+                  segments=8, seed=0, bin_spacing_hz=0.1)
+    points = [SpectrumPoint(**fields) for _ in range(10_000)]
+    tracemalloc.start()
+    try:
+        for point in points:
+            hash(point), point == point, repr(point)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * len(points)
