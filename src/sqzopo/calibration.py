@@ -14,7 +14,7 @@ import math
 
 from .model import (
     PUMP_X_MAX, InfeasibleCorrectionError, QuadratureVariances, Record, _check_pump_parameter,
-    _set, forward_variances, from_db, gain_from_x, to_db,
+    forward_variances, from_db, gain_from_x, to_db,
 )
 from .phase_noise import THETA_MAX, PhaseNoiseModel, _jitter_for, degrade_approx, degrade_exact
 
@@ -30,8 +30,7 @@ class MeasuredLevels(Record):
     jitter-only fit, which does not read it."""
 
     def __init__(self, squeezing_db: float, anti_squeezing_db: float | None = None) -> None:
-        _set(self, "squeezing_db", squeezing_db)
-        _set(self, "anti_squeezing_db", anti_squeezing_db)
+        self._store(locals())
         # Chained comparisons are False for NaN, so they also reject it.
         if not -math.inf < squeezing_db < 0.0:
             raise ValueError(
@@ -59,11 +58,7 @@ class FitResult(Record):
         self, theta_rms: float, residual: float, iterations: int, status: str = "ok",
         x: float | None = None,
     ) -> None:
-        _set(self, "theta_rms", theta_rms)
-        _set(self, "residual", residual)
-        _set(self, "iterations", iterations)
-        _set(self, "status", status)
-        _set(self, "x", x)
+        self._store(locals())
         if residual < 0.0:
             raise ValueError(f"residual must be >= 0, got {residual}")
         if not 0.0 <= theta_rms <= THETA_MAX:

@@ -18,7 +18,6 @@ from .model import (
     OpoCavity,
     PumpOperatingPoint,
     Record,
-    _set,
     cavity_decay_rate,
     detection_efficiency,
     detuning,
@@ -110,18 +109,7 @@ class ExperimentConfig(Record):
         xi: float, pump_mode: str, pump_value: float, theta_rms_deg: float, frequency_hz: float,
         dark_clearance_db: float | None = None, threshold_mW: float | None = None,
     ) -> None:
-        _set(self, "cavity_T", cavity_T)
-        _set(self, "cavity_L", cavity_L)
-        _set(self, "round_trip_m", round_trip_m)
-        _set(self, "zeta", zeta)
-        _set(self, "eta", eta)
-        _set(self, "xi", xi)
-        _set(self, "pump_mode", pump_mode)
-        _set(self, "pump_value", pump_value)
-        _set(self, "theta_rms_deg", theta_rms_deg)
-        _set(self, "frequency_hz", frequency_hz)
-        _set(self, "dark_clearance_db", dark_clearance_db)
-        _set(self, "threshold_mW", threshold_mW)
+        self._store(locals())
 
     @classmethod
     def from_dict(cls, data: dict) -> ExperimentConfig:

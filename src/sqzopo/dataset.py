@@ -32,8 +32,9 @@ def load_dataset(path: str | Path | None = None) -> dict:
 
     Every crystal needs a string ``name`` and a ``records`` object.  Each
     record needs a finite numeric ``value``, a finite numeric
-    ``uncertainty`` where one is given, and a string ``anchor``.  :class:`ConfigError` names the first field that does not
-    comply; which records a check needs is up to the check that reads them.
+    ``uncertainty`` where one is given, and a string ``anchor``.
+    :class:`ConfigError` names the first field that does not comply; which
+    records a check needs is up to the check that reads them.
     """
     if path is None:
         path = Path(__file__).with_name("data") / "reference_dataset.json"

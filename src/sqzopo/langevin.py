@@ -45,7 +45,7 @@ import math
 import os
 import threading
 
-from .model import SPEED_OF_LIGHT, OpoCavity, Record, _check_pump_parameter, _set
+from .model import SPEED_OF_LIGHT, OpoCavity, Record, _check_pump_parameter
 
 # Bound on the dimensionless Euler step gamma_total (1 + x) dt / 2: smaller
 # steps keep the discrete update a faithful, stable model of the dynamics.
@@ -67,13 +67,7 @@ class LangevinConfig(Record):
         self, gamma_out: float, gamma_loss: float, x: float, dt: float, duration: float,
         seed: int, segments: int,
     ) -> None:
-        _set(self, "gamma_out", gamma_out)
-        _set(self, "gamma_loss", gamma_loss)
-        _set(self, "x", x)
-        _set(self, "dt", dt)
-        _set(self, "duration", duration)
-        _set(self, "seed", seed)
-        _set(self, "segments", segments)
+        self._store(locals())
         if not 0.0 < gamma_out < math.inf:
             raise ValueError(f"gamma_out must be finite and > 0, got {gamma_out}")
         if not 0.0 <= gamma_loss < math.inf:
@@ -138,14 +132,7 @@ class SpectrumPoint(Record):
         self, omega: float, r_plus: float, r_minus: float, stderr_plus: float,
         stderr_minus: float, segments: int, seed: int, bin_spacing_hz: float,
     ) -> None:
-        _set(self, "omega", omega)
-        _set(self, "r_plus", r_plus)
-        _set(self, "r_minus", r_minus)
-        _set(self, "stderr_plus", stderr_plus)
-        _set(self, "stderr_minus", stderr_minus)
-        _set(self, "segments", segments)
-        _set(self, "seed", seed)
-        _set(self, "bin_spacing_hz", bin_spacing_hz)
+        self._store(locals())
 
 
 def _segment_rng(seed: int, segment: int, stream: int) -> np.random.Generator:
@@ -173,7 +160,7 @@ def simulate_output_spectrum(
         raise ValueError("at least one sideband frequency required")
     n_steps = int(round(cfg.duration / cfg.dt))
     for om in omegas:
-        if om < 0.0:
+        if not om >= 0.0:
             raise ValueError(f"sideband frequency must be >= 0, got {om}")
         if om / (2.0 * math.pi) >= 0.5 / cfg.dt:
             raise ValueError(

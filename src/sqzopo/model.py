@@ -25,8 +25,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 # reject instead of returning inf.
 PUMP_X_MAX = 1.0 - 1e-9
 
-_set = object.__setattr__  # stores a Record field past Record.__setattr__
-
 
 def _check_pump_parameter(x: float) -> None:
     if not 0.0 <= x <= PUMP_X_MAX:
@@ -42,7 +40,7 @@ def _check_detuning(detuning: float) -> None:
 
 def to_db(linear: float) -> float:
     """Convert a linear power ratio to dB relative to shot noise."""
-    if linear <= 0.0:
+    if not linear > 0.0:
         raise ValueError(f"linear power ratio must be > 0, got {linear}")
     return 10.0 * math.log10(linear)
 
@@ -62,13 +60,19 @@ class InfeasibleCorrectionError(ValueError):
 
 
 class Record:
-    """Immutable value object.  A subclass's ``__init__`` stores its fields
-    with ``_set`` in signature order, so its instances share one key table,
-    then checks them; they compare, hash and print by name (no ``__dict__``)."""
+    """Immutable value object.  A subclass's ``__init__`` names its fields in
+    its signature and first calls ``self._store(locals())``, then checks them.
+    Records compare, hash and print by field name (no ``__dict__``)."""
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _store(self, values: dict) -> None:
+        # One field at a time, in signature order, so that all instances of
+        # a class share its key table.
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -95,9 +99,7 @@ class OpoCavity(Record):
     round-trip length in meters."""
 
     def __init__(self, T: float, L: float, round_trip_length: float) -> None:
-        _set(self, "T", T)
-        _set(self, "L", L)
-        _set(self, "round_trip_length", round_trip_length)
+        self._store(locals())
         if not 0.0 < T < 1.0:
             raise ValueError(f"T must be in (0, 1), got {T}")
         if not 0.0 <= L < 1.0:
@@ -122,10 +124,7 @@ class DetectionChain(Record):
     def __init__(
         self, zeta: float, eta: float, xi: float, dark_clearance: float | None = None
     ) -> None:
-        _set(self, "zeta", zeta)
-        _set(self, "eta", eta)
-        _set(self, "xi", xi)
-        _set(self, "dark_clearance", dark_clearance)
+        self._store(locals())
         for name, v in (("zeta", zeta), ("eta", eta), ("xi", xi)):
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
@@ -144,7 +143,7 @@ class PumpOperatingPoint(Record):
     """
 
     def __init__(self, x: float) -> None:
-        _set(self, "x", x)
+        self._store(locals())
         _check_pump_parameter(x)
 
     @classmethod
@@ -179,8 +178,7 @@ class QuadratureVariances(Record):
     """
 
     def __init__(self, r_plus: float, r_minus: float) -> None:
-        _set(self, "r_plus", r_plus)
-        _set(self, "r_minus", r_minus)
+        self._store(locals())
         if not (0.0 < r_plus < math.inf and 0.0 < r_minus < math.inf):
             raise ValueError(f"variances must be finite and > 0, got ({r_plus}, {r_minus})")
 
@@ -211,7 +209,7 @@ def cavity_decay_rate(cavity: OpoCavity) -> float:
 
 def detuning(omega: float, cavity: OpoCavity) -> float:
     """Sideband frequency omega (rad/s) normalized to the cavity decay rate."""
-    if omega < 0.0:
+    if not omega >= 0.0:
         raise ValueError(f"sideband frequency must be >= 0, got {omega}")
     return omega / cavity_decay_rate(cavity)
 

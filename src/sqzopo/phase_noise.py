@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .model import QuadratureVariances, Record, _set
+from .model import QuadratureVariances, Record
 
 # Widest jitter the Gaussian small-fluctuation picture is meant for.
 THETA_MAX = math.pi / 4
@@ -41,7 +41,7 @@ class PhaseNoiseModel(Record):
     """
 
     def __init__(self, theta_rms: float) -> None:
-        _set(self, "theta_rms", theta_rms)
+        self._store(locals())
         if not 0.0 <= theta_rms < math.inf:
             raise ValueError(f"theta_rms must be finite and >= 0 rad, got {theta_rms}")
         if theta_rms > THETA_MAX:

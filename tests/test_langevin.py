@@ -93,8 +93,9 @@ class TestConfigValidation:
 
     def test_negative_frequency_rejected(self):
         cfg = _config(0.0, seed=1, segments=8, steps=4096)
-        with pytest.raises(ValueError):
-            simulate_output_spectrum(cfg, [-1.0])
+        for omega in (-1.0, math.nan):
+            with pytest.raises(ValueError, match=f"must be >= 0, got {omega}"):
+                simulate_output_spectrum(cfg, [omega])
 
     def test_no_frequency_rejected(self):
         cfg = _config(0.0, seed=1, segments=8, steps=4096)

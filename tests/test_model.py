@@ -109,8 +109,9 @@ class TestDetuning:
         assert detuning(cavity_decay_rate(BENCH_CAVITY), BENCH_CAVITY) == 1.0
 
     def test_negative_frequency_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            detuning(-1.0, BENCH_CAVITY)
+        for omega in (-1.0, math.nan):
+            with pytest.raises(ValueError, match=f"must be >= 0, got {omega}"):
+                detuning(omega, BENCH_CAVITY)
 
 
 class TestPumpParameter:
@@ -271,6 +272,8 @@ class TestDbConversion:
             to_db(0.0)
         with pytest.raises(ValueError, match="linear power ratio must be > 0, got -2.0"):
             to_db(-2.0)
+        with pytest.raises(ValueError, match="linear power ratio must be > 0, got nan"):
+            to_db(math.nan)
 
     def test_level_beyond_float_range_rejected(self):
         # 10^(x/10) overflows: a ValueError, not an OverflowError
@@ -358,6 +361,7 @@ def test_record_contract(cls, required, defaults, change):
     # the README's copy idiom
     assert type(record)(**{**vars(record), **change}) == other
     assert vars(record) == fields
+    assert list(vars(record)) == list(cls._fields)
     assert record != type("Other", (cls,), {})(**fields)
     assert record != tuple(fields.values())
     assert hash(record) == hash(cls(**fields))
@@ -383,9 +387,6 @@ def test_records_share_their_key_table():
         def __init__(self, **fields):
             self.__dict__.update(fields)
 
-    fields = dict(omega=1.0, r_plus=2.0, r_minus=0.5, stderr_plus=0.1, stderr_minus=0.01,
-                  segments=8, seed=0, bin_spacing_hz=0.1)
-
     def bytes_each(build):
         build()  # a class's key table is made by its first instance
         tracemalloc.start()
@@ -395,9 +396,11 @@ def test_records_share_their_key_table():
         finally:
             tracemalloc.stop()
 
-    assert bytes_each(lambda: SpectrumPoint(**fields)) <= 0.75 * bytes_each(
-        lambda: Updated(**fields)
-    )
+    for cls, required, defaults, _ in RECORDS:
+        fields = {**required, **defaults}
+        shared = bytes_each(lambda: cls(**fields))
+        updated = bytes_each(lambda: Updated(**fields))
+        assert shared <= 0.75 * updated, (cls.__name__, shared, updated)
 
 
 def test_comparing_hashing_and_printing_keep_no_dict():
