@@ -59,7 +59,7 @@ class FitResult(Record):
         x: float | None = None,
     ) -> None:
         self._store(locals())
-        if residual < 0.0:
+        if not residual >= 0.0:
             raise ValueError(f"residual must be >= 0, got {residual}")
         if not 0.0 <= theta_rms <= THETA_MAX:
             raise ValueError(f"theta_rms {theta_rms} outside [0, pi/4]")

@@ -17,22 +17,29 @@ Spectra are normalized so that an unpumped cavity (x = 0) gives exactly the
 shot-noise level 1 at every frequency.
 
 Nothing is stepped sample by sample: the update, the output and the window
-are linear in the noise, so each Hann bin is exact in closed form from raw
-DFT bins of the draws (the periodic Hann window is three complex
-exponentials; Harris 1978, Proc. IEEE 66, 51) and one geometric tail sum.
+are linear in the noise, so each Hann bin is exact in closed form from three
+raw DFT bins of the draws (the periodic Hann window is three complex
+exponentials; Harris 1978, Proc. IEEE 66, 51) and one geometric tail sum
+over them.  Only those raw bins are formed: the steps are laid out as rows
+of up to 32 columns, each column gets one short ``rfft``, and each bin sums
+its columns with twiddle factors (one decimation-in-time step; Cooley and
+Tukey 1965, Math. Comp. 19, 297, pruned to the outputs used as in Markel
+1971, IEEE Trans. Audio Electroacoust. 19, 305).  The tail sum factors on
+the same rows and columns into a row and a column of powers.
 
 Determinism: every segment draws its noise from generators seeded by
 (seed, segment index, stream index) with fixed stream indices 0 (output
 port), 1 (loss port) and 2 (initial intracavity state), and each
 segment's estimate is stored by its index.  Segments run in blocks of two
-on one thread per CPU the process may use, each bound to its own CPU,
-taking the next free block: a worker draws it into one buffer and
-transforms it a segment at a time into another, both allocated once per
-call (numpy's draws, FFTs and sums release the GIL; ``rfft``'s ``out=``
-needs numpy >= 2.0), and the results are bit-identical whatever the
-thread count.  Each port stream yields one row of increments per
-quadrature.  Segments start from the exact stationary distribution of
-the discrete update rule, so no burn-in transient enters the estimate.
+on one thread per CPU the process may use, each bound to its own CPU and
+kept from call to call, taking the next free block: a worker draws it into one buffer and
+transforms it a segment at a time, column by column, into another, both
+allocated once per call (numpy's draws, FFTs and sums release the GIL;
+``rfft``'s ``out=`` needs numpy >= 2.0), and the results are
+bit-identical whatever the thread count.  Each port stream yields one row
+of increments per quadrature.  Segments start from the exact stationary
+distribution of the discrete update rule, so no burn-in transient enters
+the estimate.
 
 numpy is imported inside the functions that compute with it, so importing
 the package (and every subcommand but ``oracle``) does not load it.
@@ -43,6 +50,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import queue
 import threading
 
 from .model import SPEED_OF_LIGHT, OpoCavity, Record, _check_pump_parameter
@@ -57,6 +65,28 @@ MIN_SEGMENTS = 8
 # then transforms one at a time.  On 32 segments of 32,768 steps and 2 CPUs, a
 # block of 1 takes ~19 thousand minor faults a call (2: 1.3) and ~30% more CPU.
 _BLOCK = 2
+
+# One worker thread per CPU, started on first use and kept for the life of the
+# process.  Threads started afresh on every call at times started while the
+# previous call's threads, though joined, still held their malloc arenas; glibc
+# then gave them new arenas, which kept a few MB for good.
+_workers: dict[int, queue.SimpleQueue] = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_workers.clear)  # a child inherits no threads
+
+
+def _worker(cpu: int) -> queue.SimpleQueue:
+    """The job queue of cpu's worker thread, which runs each job put on it."""
+    fresh: queue.SimpleQueue = queue.SimpleQueue()
+    jobs = _workers.setdefault(cpu, fresh)  # atomic: of two racing first calls, one wins
+    if jobs is fresh:
+        threading.Thread(target=_serve, args=(jobs,), daemon=True).start()
+    return jobs
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        jobs.get()()
 
 
 class LangevinConfig(Record):
@@ -167,13 +197,18 @@ def simulate_output_spectrum(
                 f"sideband frequency {om:.3g} rad/s exceeds the Nyquist "
                 f"band of dt = {cfg.dt:.3g} s"
             )
-    # One worker per usable CPU holds one block of draws (16 bytes a step a
-    # segment) and one segment's rfft (16 a step); the tail powers take 16 a
-    # step and the estimates 16 a segment a frequency.
+    # The steps are split into rows of cols (see below).  One worker per usable
+    # CPU holds one block of draws (16 bytes a step a segment), one segment's
+    # split transform (16 a step) and the columns gathered from it (16 a column
+    # a raw bin, 8 raw bins a frequency); the twiddles take 16 a column a raw
+    # bin of one quadrature and the estimates 16 a segment a frequency.
+    cols = max(c for c in range(1, 33) if n_steps % c == 0)
+    rows = n_steps // cols
     pinnable = hasattr(os, "sched_setaffinity")
     cpus = sorted(os.sched_getaffinity(0)) if pinnable else range(os.cpu_count() or 1)
     workers = min(len(cpus), -(-cfg.segments // _BLOCK))
-    needed = 16 * workers * (_BLOCK + 1) * n_steps + 16 * n_steps + 16 * cfg.segments * len(omegas)
+    per_worker = (_BLOCK + 1) * n_steps + 8 * cols * len(omegas)
+    needed = 16 * (workers * per_worker + 4 * cols * len(omegas) + cfg.segments * len(omegas))
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > available:
         raise ValueError(f"{cfg.segments} segments of {n_steps} steps need {needed} bytes "
@@ -188,6 +223,15 @@ def simulate_output_spectrum(
     frac = f_req / df - idx
     # The Hann bins idx and idx + 1 combine the raw DFT bins idx - 1 .. idx + 2.
     bins = idx[:, None] + np.arange(-1, 3)
+    # Only those bins are formed.  With the steps split as k = m C + l into
+    # R = n / C rows of C columns (C the largest divisor of n up to 32), bin r is
+    # sum_l exp(-2 pi i r l / n) Y_l[r mod R], with Y_l the length-R DFT of
+    # column l, read as conj(Y_l[R - r]) above R / 2 as the column is real.
+    # A prime n gives C = 1: one plain rfft.
+    wrapped = bins % rows
+    folded = (wrapped > rows // 2)[..., None]
+    wrapped = np.minimum(wrapped, rows - wrapped)
+    twiddle = np.exp(-2j * math.pi * bins[..., None] * np.arange(cols) / n_steps)
 
     # Per-quadrature drift rates: the anti-squeezed (+) quadrature relaxes
     # slowly at gamma (1 - x) / 2, the squeezed (-) one fast at gamma (1 + x) / 2.
@@ -201,26 +245,35 @@ def simulate_output_spectrum(
     # DFT of the midpoints (s[k] + s[k+1]) / 2 at bin r is
     # (1 + z) / (2 (1 - p z)) (D_r + p s[0] - p s[n]) plus a term constant
     # in r, which the zero-sum Hann weights (1/2, -1/4, -1/4) cancel.  The end
-    # state enters as p s[n] = p^(n+1) s[0] + sum_k p^(n-k) d[k].
+    # state enters as p s[n] = p^(n+1) s[0] + sum_k p^(n-k) d[k], and on the
+    # split n - k = C (R - 1 - m) + (C - l): the sum is a row-power, column-power
+    # bilinear form of the draws.
     z = np.exp(-2j * math.pi * bins / n_steps)
     transfer = 0.5 * (1.0 + z) / (1.0 - pole[:, None, None] * z)
-    tail = pole[:, None] ** np.arange(n_steps, 0, -1)
+    row_powers = pole[:, None, None] ** (cols * np.arange(rows - 1, -1, -1))
+    col_powers = pole[:, None, None] ** np.arange(cols, 0, -1)[:, None]
     x0_gain = x0_std * pole * (1.0 - pole**n_steps)
     # Hann density, sum(w**2) = 3 n / 8, over unit shot noise's one-sided 2.
     scale = cfg.dt / (3.0 * n_steps / 8.0)
 
     values = np.empty((cfg.segments, 2, len(omegas)))
 
+    def raw_bins(draws, spec):
+        split = np.fft.rfft(draws, axis=1, out=spec)[:, wrapped]  # a copy: spec is free again
+        np.conjugate(split, out=split, where=folded)
+        return np.einsum("qfbl,fbl->qfb", split, twiddle)
+
     errors: list[BaseException] = []
     blocks = iter(range(0, cfg.segments, _BLOCK))  # shared: a free worker takes the next
+    finished: queue.SimpleQueue = queue.SimpleQueue()
 
     def run(cpu: int) -> None:
         try:
             if pinnable:
                 with contextlib.suppress(OSError):  # placement only, never results
                     os.sched_setaffinity(0, {cpu})
-            noise = np.empty((_BLOCK, 2, n_steps))
-            spec = np.empty((2, n_steps // 2 + 1), complex)
+            noise = np.empty((_BLOCK, 2, rows, cols))
+            spec = np.empty((2, rows // 2 + 1, cols), complex)
             for start in blocks:
                 if errors:
                     return
@@ -230,10 +283,8 @@ def simulate_output_spectrum(
                 for stream in (0, 1):  # output port, then loss port
                     for row, seg in enumerate(segs):
                         _segment_rng(cfg.seed, seg, stream).standard_normal(out=noise[row])
-                    # the fancy index copies, so spec is free for the next segment
-                    rows = [np.fft.rfft(draws, out=spec)[..., bins] for draws in noise[:m]]
-                    port_bins.append(np.stack(rows))
-                    port_tails.append(np.einsum("sqk,qk->sq", noise[:m], tail))
+                    port_bins.append(np.stack([raw_bins(draws, spec) for draws in noise[:m]]))
+                    port_tails.append((row_powers @ noise[:m] @ col_powers)[..., 0, 0])
                 xi = np.array([_segment_rng(cfg.seed, seg, 2).standard_normal(2) for seg in segs])
                 (u_bins, v_bins), (u_tail, v_tail) = port_bins, port_tails
                 drive = sqrt_dt * (sqrt_out * u_bins + sqrt_loss * v_bins)
@@ -247,16 +298,17 @@ def simulate_output_spectrum(
                 values[start : start + m] = psd[..., 0] * (1.0 - frac) + psd[..., 1] * frac
         except BaseException as exc:  # re-raised once every worker has stopped
             errors.append(exc)
+        finally:
+            finished.put(cpu)
 
-    # Each worker gets a thread bound to its own CPU: unbound, the kernel at
+    # Each worker runs on a thread bound to its own CPU: unbound, the kernel at
     # times ran both workers on one CPU of two for whole calls while the other
-    # idled, at serial speed.  The caller only waits on the threads, so its own
+    # idled, at serial speed.  The caller only waits on the workers, so its own
     # CPU affinity is never changed.
-    threads = [threading.Thread(target=run, args=(cpu,)) for cpu in cpus[:workers]]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    for cpu in cpus[:workers]:
+        _worker(cpu).put(lambda cpu=cpu: run(cpu))
+    for _ in range(workers):
+        finished.get()
     if errors:
         raise errors[0]
 

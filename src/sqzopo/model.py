@@ -106,7 +106,7 @@ class OpoCavity(Record):
             raise ValueError(f"L must be in [0, 1), got {L}")
         if T + L >= 1.0:
             raise ValueError(f"T + L must be < 1, got {T + L}")
-        if round_trip_length <= 0.0:
+        if not round_trip_length > 0.0:
             raise ValueError(f"round_trip_length must be > 0 m, got {round_trip_length}")
         gamma = cavity_decay_rate(self)
         if not 0.0 < gamma < math.inf:

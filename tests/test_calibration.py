@@ -132,6 +132,8 @@ class TestFitResult:
         # The fits never produce these; a direct construction must not either.
         with pytest.raises(ValueError, match=r"residual must be >= 0, got -1e-12"):
             FitResult(0.075, -1e-12, 0)
+        with pytest.raises(ValueError, match=r"residual must be >= 0, got nan"):
+            FitResult(0.1, math.nan, 0)
         with pytest.raises(ValueError, match=r"theta_rms 0\.785398164\d* outside \[0, pi/4\]"):
             FitResult(math.pi / 4 + 1e-9, 0.0, 0)
 

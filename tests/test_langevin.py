@@ -166,11 +166,16 @@ class TestConcurrency:
             return real(seed, segment, stream)
 
         monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(langevin, "_segment_rng", failing)
+        cfg = _config(0.5, seed=1, segments=16, steps=2048)
+        first = simulate_output_spectrum(cfg, [0.1 * GAMMA])  # starts the workers
         threads_before = threading.active_count()
+        monkeypatch.setattr(langevin, "_segment_rng", failing)
         with pytest.raises(RuntimeError, match="segment 5"):
-            simulate_output_spectrum(_config(0.5, seed=1, segments=16, steps=2048), [0.1 * GAMMA])
+            simulate_output_spectrum(cfg, [0.1 * GAMMA])
+        # the same workers, neither lost nor added, serve the next call
         assert threading.active_count() == threads_before
+        monkeypatch.setattr(langevin, "_segment_rng", real)
+        assert simulate_output_spectrum(cfg, [0.1 * GAMMA]) == first
 
     def test_error_stops_the_other_workers(self, monkeypatch):
         drawn = set()
@@ -207,11 +212,12 @@ class TestConcurrency:
 class TestWorkingSet:
     def test_one_two_segment_block_per_worker(self, monkeypatch):
         # criterion 9's shape on 2 CPUs: each worker's draws for one block of
-        # two segments (16 bytes a step a segment) and the rfft of one segment
-        # (16 a step), the tail powers (16 a step) and the estimates (16 a
-        # segment a frequency)
+        # two segments (16 bytes a step a segment), the split transform of one
+        # segment (16 a step) and the columns gathered from it (16 a column a
+        # raw bin, 8 raw bins a frequency), the twiddles (16 a column a raw
+        # bin of one quadrature) and the estimates (16 a segment a frequency)
         monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1})
-        workers, steps, segments = 2, 32768, 32
+        workers, steps, cols, segments = 2, 32768, 32, 32
         omegas = [k * 0.1 * GAMMA for k in range(16)]
         cfg = _config(0.5, seed=3, segments=segments, steps=steps)
         # a first call loads numpy.random and numpy.fft, which the peak leaves out
@@ -222,7 +228,8 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 48 * workers * steps + 16 * steps + 16 * segments * len(omegas)
+        per_worker = 3 * steps + 8 * cols * len(omegas)
+        bound = 16 * (workers * per_worker + 4 * cols * len(omegas) + segments * len(omegas))
         assert peak <= 1.05 * bound
 
 
@@ -321,14 +328,19 @@ def _brute_force_spectrum(cfg, omegas):
 
 
 class TestExactness:
-    @pytest.mark.parametrize("steps", [4096, 2101])
+    # the steps split into columns: 4096 = 128 x 32, 2101 = 191 x 11,
+    # 5001 = 1667 x 3, and the prime 4099 stays one column
+    @pytest.mark.parametrize("steps", [4096, 2101, 5001, 4099])
     @pytest.mark.parametrize("x", [0.0, 0.5, 0.66])
     @pytest.mark.parametrize("gamma_loss_scale", [1.0, 0.0])
     def test_matches_step_by_step_estimator(self, steps, x, gamma_loss_scale):
-        # 40 segments span two chunks; omega = 0 clamps to bin 1 and the
-        # last request to the highest bin below Nyquist
+        # 40 segments span many blocks; omega = 0 clamps to bin 1 and the
+        # last request to the highest bin below Nyquist.  The columns' raw
+        # bins are read conjugated from the upper half of their transforms
+        # near Nyquist for 32 columns and at half Nyquist for 11 and 3.
         cfg = _config(x, seed=9, segments=40, steps=steps, gamma_loss_scale=gamma_loss_scale)
-        omegas = [0.0, 0.03 * GAMMA, 0.3 * GAMMA, 0.4999 * 2.0 * math.pi / cfg.dt]
+        nyquist = math.pi / cfg.dt
+        omegas = [0.0, 0.03 * GAMMA, 0.3 * GAMMA, 0.5 * nyquist, 0.9998 * nyquist]
         mean, stderr = _brute_force_spectrum(cfg, omegas)
         for j, pt in enumerate(simulate_output_spectrum(cfg, omegas)):
             assert pt.r_plus == pytest.approx(mean[0, j], rel=1e-10, abs=0)

@@ -291,8 +291,9 @@ class TestTypeInvariants:
             OpoCavity(T=0.6, L=0.4, round_trip_length=0.2)
         with pytest.raises(ValueError):
             OpoCavity(T=0.15, L=-0.01, round_trip_length=0.2)
-        with pytest.raises(ValueError):
-            OpoCavity(T=0.15, L=0.011, round_trip_length=0.0)
+        for length in (0.0, math.nan):
+            with pytest.raises(ValueError, match=f"round_trip_length must be > 0 m, got {length}"):
+                OpoCavity(T=0.15, L=0.011, round_trip_length=length)
         # c (T + L) / l underflows to 0, or overflows, for in-range inputs
         for T, L, length in ((1e-300, 0.0, 1e300), (0.15, 0.011, 1e-308), (0.15, 0.011, 5e-324)):
             with pytest.raises(ValueError, match="decay rate"):
