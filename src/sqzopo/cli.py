@@ -111,7 +111,10 @@ def _sweep_threshold_mw(args: argparse.Namespace, cfg: ExperimentConfig) -> floa
             raise ConfigError("--anchor", "gain 1 carries no threshold information")
         if not 0.0 < power_mw < math.inf:
             raise ConfigError("--anchor", f"pump power must be finite and > 0 mW, got {power_mw}")
-        return power_mw / x**2
+        threshold_mw = power_mw / x**2
+        if not threshold_mw < math.inf:
+            raise ConfigError("--anchor", f"threshold {power_mw:g} mW / {x:.3g}^2 is not finite")
+        return threshold_mw
     if cfg.pump_mode == "power" and cfg.threshold_mW is not None:
         return cfg.threshold_mW
     raise ConfigError(

@@ -30,16 +30,15 @@ the same rows and columns into a row and a column of powers.
 Determinism: every segment draws its noise from generators seeded by
 (seed, segment index, stream index) with fixed stream indices 0 (output
 port), 1 (loss port) and 2 (initial intracavity state), and each
-segment's estimate is stored by its index.  Segments run in blocks of two
-on one thread per CPU the process may use, each bound to its own CPU and
-kept from call to call, taking the next free block: a worker draws it into one buffer and
-transforms it a segment at a time, column by column, into another, both
-allocated once per call (numpy's draws, FFTs and sums release the GIL;
-``rfft``'s ``out=`` needs numpy >= 2.0), and the results are
-bit-identical whatever the thread count.  Each port stream yields one row
-of increments per quadrature.  Segments start from the exact stationary
-distribution of the discrete update rule, so no burn-in transient enters
-the estimate.
+segment's estimate is stored by its index.  Segments run on one thread per
+CPU the process may use, each bound to its own CPU and kept from call to
+call, taking the next free segment: a worker draws each port of it into one
+buffer and transforms it column by column into another, both allocated once
+per call (numpy's draws, FFTs and sums release the GIL; ``rfft``'s ``out=``
+needs numpy >= 2.0), and the results are bit-identical whatever the thread
+count.  Each port stream yields one row of increments per quadrature.
+Segments start from the exact stationary distribution of the discrete
+update rule, so no burn-in transient enters the estimate.
 
 numpy is imported inside the functions that compute with it, so importing
 the package (and every subcommand but ``oracle``) does not load it.
@@ -60,11 +59,6 @@ from .model import SPEED_OF_LIGHT, OpoCavity, Record, _check_pump_parameter
 STABILITY_LIMIT = 0.1
 
 MIN_SEGMENTS = 8
-
-# Segments a worker draws at once, into a buffer it allocates once a call, and
-# then transforms one at a time.  On 32 segments of 32,768 steps and 2 CPUs, a
-# block of 1 takes ~19 thousand minor faults a call (2: 1.3) and ~30% more CPU.
-_BLOCK = 2
 
 # One worker thread per CPU, started on first use and kept for the life of the
 # process.  Threads started afresh on every call at times started while the
@@ -198,16 +192,16 @@ def simulate_output_spectrum(
                 f"band of dt = {cfg.dt:.3g} s"
             )
     # The steps are split into rows of cols (see below).  One worker per usable
-    # CPU holds one block of draws (16 bytes a step a segment), one segment's
-    # split transform (16 a step) and the columns gathered from it (16 a column
-    # a raw bin, 8 raw bins a frequency); the twiddles take 16 a column a raw
-    # bin of one quadrature and the estimates 16 a segment a frequency.
+    # CPU holds one port's draws (16 bytes a step), their split transform (16 a
+    # step) and the columns gathered from it (16 a column a raw bin, 8 raw bins
+    # a frequency); the twiddles take 16 a column a raw bin of one quadrature
+    # and the estimates 16 a segment a frequency.
     cols = max(c for c in range(1, 33) if n_steps % c == 0)
     rows = n_steps // cols
     pinnable = hasattr(os, "sched_setaffinity")
     cpus = sorted(os.sched_getaffinity(0)) if pinnable else range(os.cpu_count() or 1)
-    workers = min(len(cpus), -(-cfg.segments // _BLOCK))
-    per_worker = (_BLOCK + 1) * n_steps + 8 * cols * len(omegas)
+    workers = min(len(cpus), cfg.segments)
+    per_worker = 2 * n_steps + 8 * cols * len(omegas)
     needed = 16 * (workers * per_worker + 4 * cols * len(omegas) + cfg.segments * len(omegas))
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > available:
@@ -264,7 +258,7 @@ def simulate_output_spectrum(
         return np.einsum("qfbl,fbl->qfb", split, twiddle)
 
     errors: list[BaseException] = []
-    blocks = iter(range(0, cfg.segments, _BLOCK))  # shared: a free worker takes the next
+    segments = iter(range(cfg.segments))  # shared: a free worker takes the next
     finished: queue.SimpleQueue = queue.SimpleQueue()
 
     def run(cpu: int) -> None:
@@ -272,30 +266,27 @@ def simulate_output_spectrum(
             if pinnable:
                 with contextlib.suppress(OSError):  # placement only, never results
                     os.sched_setaffinity(0, {cpu})
-            noise = np.empty((_BLOCK, 2, rows, cols))
+            noise = np.empty((2, rows, cols))
             spec = np.empty((2, rows // 2 + 1, cols), complex)
-            for start in blocks:
+            for seg in segments:
                 if errors:
                     return
-                segs = range(start, min(start + _BLOCK, cfg.segments))
-                m = len(segs)
                 port_bins, port_tails = [], []
                 for stream in (0, 1):  # output port, then loss port
-                    for row, seg in enumerate(segs):
-                        _segment_rng(cfg.seed, seg, stream).standard_normal(out=noise[row])
-                    port_bins.append(np.stack([raw_bins(draws, spec) for draws in noise[:m]]))
-                    port_tails.append((row_powers @ noise[:m] @ col_powers)[..., 0, 0])
-                xi = np.array([_segment_rng(cfg.seed, seg, 2).standard_normal(2) for seg in segs])
+                    _segment_rng(cfg.seed, seg, stream).standard_normal(out=noise)
+                    port_bins.append(raw_bins(noise, spec))
+                    port_tails.append((row_powers @ noise @ col_powers)[..., 0, 0])
+                xi = _segment_rng(cfg.seed, seg, 2).standard_normal(2)
                 (u_bins, v_bins), (u_tail, v_tail) = port_bins, port_tails
                 drive = sqrt_dt * (sqrt_out * u_bins + sqrt_loss * v_bins)
                 ends = xi * x0_gain - sqrt_dt * (sqrt_out * u_tail + sqrt_loss * v_tail)
                 # Output sampled at step midpoints: with the Ito update above this
                 # reproduces the symmetric field/input correlation of the
                 # input-output relation and leaves the x = 0 spectrum exactly flat.
-                out = sqrt_out * transfer * (drive + ends[:, :, None, None]) - u_bins / sqrt_dt
+                out = sqrt_out * transfer * (drive + ends[:, None, None]) - u_bins / sqrt_dt
                 hann = 0.5 * out[..., 1:3] - 0.25 * (out[..., :2] + out[..., 2:])
                 psd = scale * (hann.real**2 + hann.imag**2)
-                values[start : start + m] = psd[..., 0] * (1.0 - frac) + psd[..., 1] * frac
+                values[seg] = psd[..., 0] * (1.0 - frac) + psd[..., 1] * frac
         except BaseException as exc:  # re-raised once every worker has stopped
             errors.append(exc)
         finally:

@@ -258,6 +258,15 @@ class TestSweep:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith("error: --anchor: ")
 
+    def test_anchor_with_non_finite_threshold_exits_2(self, capsys):
+        # 1e300 mW at G = 1.0001 puts the threshold 1e300 / x^2 beyond float range
+        code, out, err = _run(
+            capsys, "sweep", CONFIG, "--pmin", "0", "--pmax", "1e300", "--steps", "2",
+            "--anchor", "1e300:1.0001",
+        )
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: --anchor: ")
+
     def test_non_finite_arguments_exit_2(self, capsys):
         for extra in (("--pmin", "nan"), ("--pmax", "nan"), ("--pmax", "inf"),
                       ("--theta-deg", "nan"), ("--theta-deg", "inf")):

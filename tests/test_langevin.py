@@ -9,8 +9,11 @@ standard errors.
 from __future__ import annotations
 
 import math
+import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -135,14 +138,14 @@ class TestDeterminism:
 
 
 class TestConcurrency:
-    """Segments run in blocks of two; each CPU's thread, bound to that CPU,
-    takes the next block left when it finishes one."""
+    """Each CPU's thread, bound to that CPU, takes the next segment left
+    when it finishes one."""
 
     @pytest.mark.parametrize("steps", [4096, 2101])
     @pytest.mark.parametrize("segments", [8, 9, 41])
     @pytest.mark.parametrize("x", [0.0, 0.66])
     def test_bit_identical_across_cpu_counts(self, monkeypatch, steps, segments, x):
-        # 9 and 41 segments end in a ragged block of one
+        # 9 and 41 segments do not split evenly over 2 or 5 workers
         cfg = _config(x, seed=13, segments=segments, steps=steps)
         omegas = [0.0, 0.03 * GAMMA, 0.3 * GAMMA]
         runs = []
@@ -157,7 +160,7 @@ class TestConcurrency:
         assert all(run == runs[0] for run in runs[1:])
 
     def test_worker_error_reaches_caller(self, monkeypatch):
-        # segment 5 lies in the third block, which one of two workers takes
+        # segment 5 is the sixth segment taken, by one of two workers
         real = langevin._segment_rng
 
         def failing(seed, segment, stream):
@@ -208,14 +211,42 @@ class TestConcurrency:
         threads = {thread for thread, _ in bound}
         assert len(threads) == len(bound) and threading.current_thread() not in threads
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning"
+    )
+    def test_forked_child_starts_its_own_workers(self):
+        # a child inherits the worker table but not the threads serving it
+        cfg = _config(0.5, seed=1, segments=8, steps=2048)
+        first = simulate_output_spectrum(cfg, [0.1 * GAMMA])  # starts the workers
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            same = False
+            try:
+                same = simulate_output_spectrum(cfg, [0.1 * GAMMA]) == first
+            finally:
+                os.write(write, b"1" if same else b"0")
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as result:
+            deadline = time.monotonic() + 60.0
+            while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child's oracle call did not return in 60 s")
+                time.sleep(0.01)
+            assert result.read() == b"1"
+
 
 class TestWorkingSet:
-    def test_one_two_segment_block_per_worker(self, monkeypatch):
-        # criterion 9's shape on 2 CPUs: each worker's draws for one block of
-        # two segments (16 bytes a step a segment), the split transform of one
-        # segment (16 a step) and the columns gathered from it (16 a column a
-        # raw bin, 8 raw bins a frequency), the twiddles (16 a column a raw
-        # bin of one quadrature) and the estimates (16 a segment a frequency)
+    def test_one_segment_per_worker(self, monkeypatch):
+        # criterion 9's shape on 2 CPUs: each worker's draws for one port of
+        # one segment (16 bytes a step), their split transform (16 a step) and
+        # the columns gathered from it (16 a column a raw bin, 8 raw bins a
+        # frequency), the twiddles (16 a column a raw bin of one quadrature)
+        # and the estimates (16 a segment a frequency)
         monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1})
         workers, steps, cols, segments = 2, 32768, 32, 32
         omegas = [k * 0.1 * GAMMA for k in range(16)]
@@ -228,7 +259,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        per_worker = 3 * steps + 8 * cols * len(omegas)
+        per_worker = 2 * steps + 8 * cols * len(omegas)
         bound = 16 * (workers * per_worker + 4 * cols * len(omegas) + segments * len(omegas))
         assert peak <= 1.05 * bound
 
@@ -334,10 +365,11 @@ class TestExactness:
     @pytest.mark.parametrize("x", [0.0, 0.5, 0.66])
     @pytest.mark.parametrize("gamma_loss_scale", [1.0, 0.0])
     def test_matches_step_by_step_estimator(self, steps, x, gamma_loss_scale):
-        # 40 segments span many blocks; omega = 0 clamps to bin 1 and the
-        # last request to the highest bin below Nyquist.  The columns' raw
-        # bins are read conjugated from the upper half of their transforms
-        # near Nyquist for 32 columns and at half Nyquist for 11 and 3.
+        # each worker takes many of 40 segments; omega = 0 clamps to bin 1
+        # and the last request to the highest bin below Nyquist.  The
+        # columns' raw bins are read conjugated from the upper half of their
+        # transforms near Nyquist for 32 columns and at half Nyquist for 11
+        # and 3.
         cfg = _config(x, seed=9, segments=40, steps=steps, gamma_loss_scale=gamma_loss_scale)
         nyquist = math.pi / cfg.dt
         omegas = [0.0, 0.03 * GAMMA, 0.3 * GAMMA, 0.5 * nyquist, 0.9998 * nyquist]
