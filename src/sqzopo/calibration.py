@@ -14,9 +14,11 @@ import math
 
 from .model import (
     PUMP_X_MAX, InfeasibleCorrectionError, QuadratureVariances, Record, _check_pump_parameter,
-    forward_variances, from_db, gain_from_x, to_db,
+    _variances, forward_variances, from_db, gain_from_x, to_db,
 )
-from .phase_noise import THETA_MAX, PhaseNoiseModel, _jitter_for, degrade_approx, degrade_exact
+from .phase_noise import (
+    THETA_MAX, PhaseNoiseModel, _jitter_for, _lam, _mixed, degrade_approx, degrade_exact,
+)
 
 # A fixed step count shrinks a unit bracket below one float spacing:
 # 0.618^80 for golden-section search.
@@ -180,18 +182,20 @@ def fit_joint(
     dB least-squares optimum lies on an edge of that box (x = 0 is a point
     of the theta_rms = 0 edge); the best of a golden-section search along
     each remaining edge is returned.  Deterministic for fixed inputs.
+    alpha, rho and detuning are checked once; the residual then runs
+    unchecked on the float forms, which stay positive for x <= PUMP_X_MAX.
     """
     if measured.anti_squeezing_db is None:
         raise ValueError("the joint fit needs an anti-squeezing level")
-    degrade = degrade_approx if use_approx else degrade_exact
     sq_db, asq_db = measured.squeezing_db, measured.anti_squeezing_db
     target_minus = from_db(sq_db)
-
-    def resid(x: float, theta: float) -> float:
-        degraded = degrade(forward_variances(alpha, rho, x, detuning), PhaseNoiseModel(theta))
-        return (degraded.r_minus_db - sq_db) ** 2 + (degraded.r_plus_db - asq_db) ** 2
-
     c = target_minus + from_db(asq_db) - 2.0
+    forward_variances(alpha, rho, 0.0, detuning)  # checks alpha, rho and detuning, once
+
+    def resid(x: float, lam: float) -> float:
+        r_plus, r_minus = _mixed(*_variances(alpha, rho, x, detuning), lam)
+        return (10.0 * math.log10(r_minus) - sq_db) ** 2 + (10.0 * math.log10(r_plus) - asq_db) ** 2
+
     k = 1.0 + 4.0 * detuning * detuning
     b = 2.0 * c * (k - 2.0) - 16.0 * alpha * rho
     # b^2 - 4 c^2 k^2, factored so that it does not cancel; > 0 implies b < 0.
@@ -202,10 +206,12 @@ def fit_joint(
             R = forward_variances(alpha, rho, x, detuning)
             theta = _jitter_for(R, target_minus, use_approx)
             if theta is not None and not _below_floor(target_minus, R):
-                return FitResult(theta_rms=theta, residual=resid(x, theta), iterations=0, x=x)
+                residual = resid(x, _lam(theta, use_approx))
+                return FitResult(theta_rms=theta, residual=residual, iterations=0, x=x)
 
-    r0, x0 = _golden_min(lambda x: resid(x, 0.0), 0.0, PUMP_X_MAX)
-    r1, x1 = _golden_min(lambda x: resid(x, THETA_MAX), 0.0, PUMP_X_MAX)
-    r2, t2 = _golden_min(lambda t: resid(PUMP_X_MAX, t), 0.0, THETA_MAX)
+    r0, x0 = _golden_min(lambda x: resid(x, 1.0), 0.0, PUMP_X_MAX)  # theta_rms = 0
+    lam_max = _lam(THETA_MAX, use_approx)
+    r1, x1 = _golden_min(lambda x: resid(x, lam_max), 0.0, PUMP_X_MAX)
+    r2, t2 = _golden_min(lambda t: resid(PUMP_X_MAX, _lam(t, use_approx)), 0.0, THETA_MAX)
     r, x, theta = min((r0, x0, 0.0), (r1, x1, THETA_MAX), (r2, PUMP_X_MAX, t2))
     return FitResult(theta_rms=theta, residual=r, iterations=3 * _GOLDEN_STEPS, x=x)

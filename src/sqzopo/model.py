@@ -232,7 +232,8 @@ def forward_variances(
     escape efficiency rho, pump parameter x, and detuning Omega.
 
     The anti-squeezed (+) variance carries (1 - x)^2 in its denominator,
-    so it diverges at threshold on resonance.
+    so it diverges at threshold on resonance.  The inputs are checked here;
+    :func:`_variances` is the float form, which runs unchecked.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -240,6 +241,10 @@ def forward_variances(
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     _check_pump_parameter(x)
     _check_detuning(detuning)
+    return QuadratureVariances(*_variances(alpha, rho, x, detuning))
+
+
+def _variances(alpha: float, rho: float, x: float, detuning: float) -> tuple[float, float]:
     four_om2 = 4.0 * detuning * detuning
     plus_den = (1.0 - x) ** 2 + four_om2
     minus_den = (1.0 + x) ** 2 + four_om2
@@ -249,4 +254,4 @@ def forward_variances(
     # threshold.
     r_plus = (plus_den + 4.0 * alpha * rho * x) / plus_den
     r_minus = (plus_den + 4.0 * x * (1.0 - alpha * rho)) / minus_den
-    return QuadratureVariances(r_plus, r_minus)
+    return r_plus, r_minus

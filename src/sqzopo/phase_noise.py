@@ -57,12 +57,16 @@ class PhaseNoiseModel(Record):
         return cls(math.radians(theta_rms_deg))
 
 
-def _mix(R: QuadratureVariances, lam: float) -> QuadratureVariances:
+def _mixed(r_plus: float, r_minus: float, lam: float) -> tuple[float, float]:
     # lam = E[cos^2] - E[sin^2] of the jitter distribution; lam = 1 is the
     # identity, lam = 0 full scrambling, lam = -1 a swap.
     c = 0.5 * (1.0 + lam)
     s = 0.5 * (1.0 - lam)
-    return QuadratureVariances(c * R.r_plus + s * R.r_minus, c * R.r_minus + s * R.r_plus)
+    return c * r_plus + s * r_minus, c * r_minus + s * r_plus
+
+
+def _lam(theta_rms: float, use_approx: bool) -> float:
+    return math.cos(2.0 * theta_rms) if use_approx else math.exp(-2.0 * theta_rms * theta_rms)
 
 
 def _jitter_for(R: QuadratureVariances, target_minus: float, use_approx: bool) -> float | None:
@@ -83,13 +87,13 @@ def _jitter_for(R: QuadratureVariances, target_minus: float, use_approx: bool) -
 def degrade_exact(R: QuadratureVariances, model: PhaseNoiseModel) -> QuadratureVariances:
     """Gaussian-averaged variances via the closed form
     E[cos(2 theta)] = exp(-2 theta_rms^2)."""
-    return _mix(R, math.exp(-2.0 * model.theta_rms * model.theta_rms))
+    return QuadratureVariances(*_mixed(R.r_plus, R.r_minus, _lam(model.theta_rms, False)))
 
 
 def degrade_approx(R: QuadratureVariances, model: PhaseNoiseModel) -> QuadratureVariances:
     """Small-angle surrogate: a fixed phase offset of theta_rms,
     R_pm cos^2(theta_rms) + R_mp sin^2(theta_rms)."""
-    return _mix(R, math.cos(2.0 * model.theta_rms))
+    return QuadratureVariances(*_mixed(R.r_plus, R.r_minus, _lam(model.theta_rms, True)))
 
 
 class QuadratureConvergenceError(RuntimeError):

@@ -17,6 +17,7 @@ from sqzopo.calibration import (
     FitResult,
     InfeasibleCorrectionError,
     MeasuredLevels,
+    _golden_min,
     dark_noise_correct,
     dark_noise_uncorrect,
     fit_joint,
@@ -30,13 +31,46 @@ from sqzopo.model import (
     pump_parameter,
     to_db,
 )
-from sqzopo.phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
+from sqzopo.phase_noise import THETA_MAX, PhaseNoiseModel, degrade_approx, degrade_exact
 
 BENCH_X = pump_parameter(PumpOperatingPoint.from_gain(8.83))
 # jitter-free prediction at the quoted calibrations
 PREDICTED = forward_variances(0.953, 0.932, BENCH_X, 0.028)
 # clearance back-solved from the quoted -5.6 -> -5.80 dB correction pair
 CLEARANCE = 0.0168
+
+
+def _pair_summing_to_two() -> MeasuredLevels:
+    """A -3 dB reading whose linear R_+ + R_- is exactly 2."""
+    sq = -3.0
+    asq = to_db(2.0 - from_db(sq))
+    while from_db(sq) + from_db(asq) > 2.0:
+        asq = math.nextafter(asq, 0.0)
+    while from_db(sq) + from_db(asq) < 2.0:
+        asq = math.nextafter(asq, math.inf)
+    return MeasuredLevels(sq, asq)
+
+
+def _pair_beyond_reach(omega: float) -> MeasuredLevels:
+    """A sum just above R_+ + R_- at PUMP_X_MAX, which puts the root past it."""
+    top = forward_variances(0.953, 0.932, PUMP_X_MAX, omega)
+    return MeasuredLevels(top.r_minus_db, to_db(top.r_plus * (1.0 + 1e-6)))
+
+
+def _reference_edge_search(measured, alpha, rho, detuning, use_approx):
+    """The joint fit's edge search written with the public forward model
+    and jitter mix, one checked evaluation per residual."""
+    degrade = degrade_approx if use_approx else degrade_exact
+    sq, asq = measured.squeezing_db, measured.anti_squeezing_db
+
+    def resid(x, theta):
+        d = degrade(forward_variances(alpha, rho, x, detuning), PhaseNoiseModel(theta))
+        return (d.r_minus_db - sq) ** 2 + (d.r_plus_db - asq) ** 2
+
+    r0, x0 = _golden_min(lambda x: resid(x, 0.0), 0.0, PUMP_X_MAX)
+    r1, x1 = _golden_min(lambda x: resid(x, THETA_MAX), 0.0, PUMP_X_MAX)
+    r2, t2 = _golden_min(lambda t: resid(PUMP_X_MAX, t), 0.0, THETA_MAX)
+    return min((r0, x0, 0.0), (r1, x1, THETA_MAX), (r2, PUMP_X_MAX, t2))
 
 
 class TestDarkNoiseCorrect:
@@ -275,25 +309,84 @@ class TestFitJoint:
     def test_sum_of_two_solved_at_x_zero(self):
         # R_+ + R_- = 2 exactly puts the root at x = 0, whose shot-noise
         # levels cannot explain any squeezing: the edge search answers.
-        sq = -3.0
-        asq = to_db(2.0 - from_db(sq))
-        while from_db(sq) + from_db(asq) > 2.0:
-            asq = math.nextafter(asq, 0.0)
-        while from_db(sq) + from_db(asq) < 2.0:
-            asq = math.nextafter(asq, math.inf)
+        measured = _pair_summing_to_two()
+        sq, asq = measured.squeezing_db, measured.anti_squeezing_db
         assert from_db(sq) + from_db(asq) == 2.0
-        fit = fit_joint(MeasuredLevels(sq, asq), 0.953, 0.932, 0.028)
+        fit = fit_joint(measured, 0.953, 0.932, 0.028)
         assert (fit.status, fit.iterations) == ("ok", 240)
         assert fit.residual < (sq**2 + asq**2)
 
     @pytest.mark.parametrize("omega", [0.0, 0.028])
     def test_sum_beyond_reach_falls_back(self, omega):
-        # A sum just above R_+ + R_- at PUMP_X_MAX puts the root past it.
-        top = forward_variances(0.953, 0.932, PUMP_X_MAX, omega)
-        asq = to_db(top.r_plus * (1.0 + 1e-6))
-        fit = fit_joint(MeasuredLevels(top.r_minus_db, asq), 0.953, 0.932, omega)
+        fit = fit_joint(_pair_beyond_reach(omega), 0.953, 0.932, omega)
         assert (fit.status, fit.iterations) == ("ok", 240)
         assert 0.0 <= fit.x <= PUMP_X_MAX
+
+    def test_edge_search_matches_reference_bit_for_bit(self):
+        # Seeded pairs that take the edge branch, under both jitter laws and
+        # at Omega = 0 and > 0: strong readings (where theta_rms = 0 and
+        # x -> 1 win) and weak ones (where theta_rms = pi/4 can win).
+        rng = np.random.default_rng(26)
+        cases = [(_pair_summing_to_two(), 0.028), (_pair_beyond_reach(0.0), 0.0),
+                 (_pair_beyond_reach(0.028), 0.028)]
+        while len(cases) < 2 * 130:
+            if len(cases) % 2:
+                sq, asq = -rng.uniform(0.5, 15.0), rng.uniform(0.5, 40.0)
+            else:
+                sq, asq = -rng.uniform(0.001, 1.0), rng.uniform(0.001, 3.0)
+            omega = (0.0, 0.028, 0.6)[len(cases) % 3]
+            measured = MeasuredLevels(float(sq), float(asq))
+            if fit_joint(measured, 0.953, 0.932, omega).iterations:
+                cases.append((measured, omega))
+        winners = set()
+        for measured, omega in cases:
+            for use_approx in (False, True):
+                fit = fit_joint(measured, 0.953, 0.932, omega, use_approx=use_approx)
+                if fit.iterations == 0:
+                    continue  # the other law can solve a pair exactly
+                case = (measured, omega, use_approx)
+                assert (fit.status, fit.iterations) == ("ok", 240), case
+                expected = _reference_edge_search(measured, 0.953, 0.932, omega, use_approx)
+                assert (fit.residual, fit.x, fit.theta_rms) == expected, case
+                winners.add((use_approx, expected[2] if expected[2] in (0.0, THETA_MAX)
+                             else "x_max"))
+        assert winners >= {(False, 0.0), (False, THETA_MAX), (False, "x_max"),
+                           (True, 0.0), (True, "x_max")}
+
+    @pytest.mark.parametrize("measured", [MeasuredLevels(-5.80, 12.72), MeasuredLevels(-9.0, 9.5)],
+                             ids=["exact", "edge"])
+    @pytest.mark.parametrize(
+        "alpha, rho, detuning",
+        [(a, 0.932, 0.028) for a in (math.nan, math.inf, -math.inf, -0.1, 1.5)]
+        + [(0.953, r, 0.028) for r in (math.nan, math.inf, -math.inf, -0.1, 1.5)]
+        + [(0.953, 0.932, om) for om in (math.nan, -0.1, math.inf)],
+    )
+    def test_bad_model_input_named_as_forward_variances_names_it(
+        self, measured, alpha, rho, detuning
+    ):
+        with pytest.raises(ValueError) as expected:
+            forward_variances(alpha, rho, 0.5, detuning)
+        with pytest.raises(ValueError) as err:
+            fit_joint(measured, alpha, rho, detuning)
+        assert str(err.value) == str(expected.value)
+        assert str(err.value).startswith(
+            "alpha must" if alpha != 0.953 else "rho must" if rho != 0.932 else "detuning must"
+        )
+
+    @pytest.mark.parametrize(
+        "measured, alpha, rho, detuning, message",
+        [(MeasuredLevels(-13.0, 3.0), -0.1, 0.8, 1.5, "alpha must be in [0, 1], got -0.1"),
+         (MeasuredLevels(-13.0, 3.0), 0.9, -0.1, 1.0, "rho must be in [0, 1], got -0.1")],
+        ids=["alpha", "rho"],
+    )
+    def test_negative_efficiency_is_not_a_math_domain_error(
+        self, measured, alpha, rho, detuning, message
+    ):
+        # A negative alpha rho can make the quadratic's root complex, so the
+        # inputs must be checked before it is taken.
+        with pytest.raises(ValueError) as err:
+            fit_joint(measured, alpha, rho, detuning)
+        assert str(err.value) == message
 
     def test_deterministic(self):
         measured = MeasuredLevels(squeezing_db=-5.80, anti_squeezing_db=12.72)

@@ -689,6 +689,17 @@ PINNED_OUTPUT = {
         '  "status": "ok"\n'
         "}\n",
     ),
+    # no (x, theta_rms) reproduces -9 dB: the theta_rms = 0 edge answers
+    "fit-joint-edge": (
+        ["fit", CONFIG, "--sq-db", "-9", "--asq-db", "12.7", "--joint"],
+        "{\n"
+        '  "theta_rms_deg": 0.0,\n'
+        '  "x": 0.651766889814156,\n'
+        '  "gain": 8.2463141697351,\n'
+        '  "residual_db2": 0.7585305299271945,\n'
+        '  "status": "ok"\n'
+        "}\n",
+    ),
     "paper-check": (
         ["paper", "--check"],
         "PASS  [1] escape efficiency: got 0.9317, expected 0.932 +/- 0.001\n"
