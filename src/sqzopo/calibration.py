@@ -5,7 +5,8 @@ measured squeezing / anti-squeezing pair.
 Jitter mixes the quadratures linearly and conserves R_+ + R_-, so both
 fits invert the model in closed form.  Residuals are always formed in dB
 so the squeezed (~0.15 linear) and anti-squeezed (~20 linear) readings
-carry comparable weight.
+carry comparable weight.  Each input is checked once, as it enters; the
+fits then run unchecked on the float forms of model and phase_noise.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from __future__ import annotations
 import math
 
 from .model import (
-    PUMP_X_MAX, InfeasibleCorrectionError, QuadratureVariances, Record, _check_pump_parameter,
-    _variances, forward_variances, from_db, gain_from_x, to_db,
+    PUMP_X_MAX, InfeasibleCorrectionError, QuadratureVariances, Record, _check_inputs,
+    _check_pump_parameter, _variances, from_db, gain_from_x, to_db,
 )
-from .phase_noise import (
-    THETA_MAX, PhaseNoiseModel, _jitter_for, _lam, _mixed, degrade_approx, degrade_exact,
-)
+from .phase_noise import THETA_MAX, _jitter_for, _lam, _mixed
 
 # A fixed step count shrinks a unit bracket below one float spacing:
 # 0.618^80 for golden-section search.
@@ -112,10 +111,10 @@ def dark_noise_uncorrect(level_db: float, clearance: float) -> float:
     return to_db(from_db(level_db) * (1.0 - clearance) + clearance)
 
 
-def _below_floor(target_minus: float, R: QuadratureVariances) -> bool:
+def _below_floor(target_minus: float, r_minus: float) -> bool:
     # Tolerate one dB<->linear roundtrip of rounding before declaring a
     # measurement unexplainable by any jitter.
-    return target_minus < R.r_minus * (1.0 - 1e-12)
+    return target_minus < r_minus * (1.0 - 1e-12)
 
 
 def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
@@ -151,16 +150,17 @@ def fit_theta(
     A measured level below the jitter-free floor ``predicted.r_minus``
     cannot be explained by any jitter; the result is then flagged
     ``status="infeasible"`` with the boundary value theta_rms = 0.
+    Both records were checked when built; the float forms run unchecked.
     """
-    degrade = degrade_approx if use_approx else degrade_exact
+    r_plus, r_minus = predicted.r_plus, predicted.r_minus
     target = from_db(measured.squeezing_db)
-    if _below_floor(target, predicted):
+    if _below_floor(target, r_minus):
         theta, status = 0.0, "infeasible"
     else:
-        theta, status = _jitter_for(predicted, target, use_approx), "ok"
+        theta, status = _jitter_for(r_plus, r_minus, target, use_approx), "ok"
         theta = THETA_MAX if theta is None else theta
-    degraded = degrade(predicted, PhaseNoiseModel(theta))
-    residual = (degraded.r_minus_db - measured.squeezing_db) ** 2
+    degraded_minus = _mixed(r_plus, r_minus, _lam(theta, use_approx))[1]
+    residual = (10.0 * math.log10(degraded_minus) - measured.squeezing_db) ** 2
     return FitResult(theta_rms=theta, residual=residual, iterations=0, status=status)
 
 
@@ -182,7 +182,7 @@ def fit_joint(
     dB least-squares optimum lies on an edge of that box (x = 0 is a point
     of the theta_rms = 0 edge); the best of a golden-section search along
     each remaining edge is returned.  Deterministic for fixed inputs.
-    alpha, rho and detuning are checked once; the residual then runs
+    alpha, rho and detuning are checked once; both branches then run
     unchecked on the float forms, which stay positive for x <= PUMP_X_MAX.
     """
     if measured.anti_squeezing_db is None:
@@ -190,7 +190,7 @@ def fit_joint(
     sq_db, asq_db = measured.squeezing_db, measured.anti_squeezing_db
     target_minus = from_db(sq_db)
     c = target_minus + from_db(asq_db) - 2.0
-    forward_variances(alpha, rho, 0.0, detuning)  # checks alpha, rho and detuning, once
+    _check_inputs(alpha, rho, 0.0, detuning)  # checks alpha, rho and detuning, once
 
     def resid(x: float, lam: float) -> float:
         r_plus, r_minus = _mixed(*_variances(alpha, rho, x, detuning), lam)
@@ -203,9 +203,9 @@ def fit_joint(
     if c >= 0.0 and disc > 0.0:
         x = math.sqrt(2.0 * c * k * k / (math.sqrt(disc) - b))
         if x <= PUMP_X_MAX:
-            R = forward_variances(alpha, rho, x, detuning)
-            theta = _jitter_for(R, target_minus, use_approx)
-            if theta is not None and not _below_floor(target_minus, R):
+            r_plus, r_minus = _variances(alpha, rho, x, detuning)
+            theta = _jitter_for(r_plus, r_minus, target_minus, use_approx)
+            if theta is not None and not _below_floor(target_minus, r_minus):
                 residual = resid(x, _lam(theta, use_approx))
                 return FitResult(theta_rms=theta, residual=residual, iterations=0, x=x)
 

@@ -328,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleCorrectionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, Warning) as err:  # a Warning raised under -W error
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -73,7 +73,7 @@ def _read_json(path: str | Path) -> object:
     """Parse a JSON file; a file that cannot be decoded or parsed is named."""
     try:
         return json.loads(Path(path).read_text())
-    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError alike
+    except (ValueError, RecursionError) as err:  # bad syntax or bytes, or nesting too deep
         raise ConfigError(str(path), f"not valid JSON: {err}") from err
 
 

@@ -232,16 +232,20 @@ def forward_variances(
     escape efficiency rho, pump parameter x, and detuning Omega.
 
     The anti-squeezed (+) variance carries (1 - x)^2 in its denominator,
-    so it diverges at threshold on resonance.  The inputs are checked here;
-    :func:`_variances` is the float form, which runs unchecked.
+    so it diverges at threshold on resonance.  The inputs are checked once,
+    here; :func:`_variances` is the float form, which runs unchecked.
     """
+    _check_inputs(alpha, rho, x, detuning)
+    return QuadratureVariances(*_variances(alpha, rho, x, detuning))
+
+
+def _check_inputs(alpha: float, rho: float, x: float, detuning: float) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     _check_pump_parameter(x)
     _check_detuning(detuning)
-    return QuadratureVariances(*_variances(alpha, rho, x, detuning))
 
 
 def _variances(alpha: float, rho: float, x: float, detuning: float) -> tuple[float, float]:

@@ -69,12 +69,12 @@ def _lam(theta_rms: float, use_approx: bool) -> float:
     return math.cos(2.0 * theta_rms) if use_approx else math.exp(-2.0 * theta_rms * theta_rms)
 
 
-def _jitter_for(R: QuadratureVariances, target_minus: float, use_approx: bool) -> float | None:
-    """Inverse of the mix: the jitter width that takes ``R`` to the squeezed
-    variance ``target_minus`` (small-angle form if ``use_approx``); None above pi/4."""
-    spread = R.r_plus - R.r_minus
+def _jitter_for(r_plus: float, r_minus: float, target: float, use_approx: bool) -> float | None:
+    """Inverse of the mix: the jitter width that takes the pair to the squeezed
+    variance ``target`` (small-angle form if ``use_approx``); None above pi/4."""
+    spread = r_plus - r_minus
     # R'_- = (R_+ + R_-)/2 - lam (R_+ - R_-)/2; no jitter changes an unsqueezed pair.
-    lam = (R.r_plus + R.r_minus - 2.0 * target_minus) / spread if spread > 0.0 else 1.0
+    lam = (r_plus + r_minus - 2.0 * target) / spread if spread > 0.0 else 1.0
     if lam >= 1.0:
         return 0.0
     if use_approx:

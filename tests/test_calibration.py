@@ -26,6 +26,7 @@ from sqzopo.calibration import (
 from sqzopo.model import (
     PUMP_X_MAX,
     PumpOperatingPoint,
+    QuadratureVariances,
     forward_variances,
     from_db,
     pump_parameter,
@@ -172,6 +173,49 @@ class TestFitResult:
             FitResult(math.pi / 4 + 1e-9, 0.0, 0)
 
 
+def _reference_jitter(R, target, use_approx):
+    """The closed-form jitter inverse read from a checked record, clamped to pi/4."""
+    spread = R.r_plus - R.r_minus
+    lam = (R.r_plus + R.r_minus - 2.0 * target) / spread if spread > 0.0 else 1.0
+    if lam >= 1.0:
+        return 0.0
+    if use_approx:
+        theta = 0.5 * math.acos(max(lam, -1.0))
+    else:
+        theta = math.sqrt(-0.5 * math.log(lam)) if lam > 0.0 else math.inf
+    return theta if theta <= THETA_MAX else THETA_MAX
+
+
+def _reference_fit_theta(measured, predicted, use_approx):
+    """fit_theta on the public records: the residual is read from the
+    checked record that the jitter mix returns."""
+    degrade = degrade_approx if use_approx else degrade_exact
+    target = from_db(measured.squeezing_db)
+    if target < predicted.r_minus * (1.0 - 1e-12):
+        theta, status = 0.0, "infeasible"
+    else:
+        theta, status = _reference_jitter(predicted, target, use_approx), "ok"
+    degraded = degrade(predicted, PhaseNoiseModel(theta))
+    return theta, (degraded.r_minus_db - measured.squeezing_db) ** 2, status
+
+
+def _reference_joint_exact(measured, alpha, rho, detuning, use_approx):
+    """fit_joint's closed form on the public records: the root x, then
+    forward_variances at x, its jitter and a residual read from records."""
+    degrade = degrade_approx if use_approx else degrade_exact
+    sq, asq = measured.squeezing_db, measured.anti_squeezing_db
+    target = from_db(sq)
+    c = target + from_db(asq) - 2.0
+    k = 1.0 + 4.0 * detuning * detuning
+    b = 2.0 * c * (k - 2.0) - 16.0 * alpha * rho
+    disc = 64.0 * (c + 4.0 * alpha * rho) * (alpha * rho - c * detuning * detuning)
+    x = math.sqrt(2.0 * c * k * k / (math.sqrt(disc) - b))
+    R = forward_variances(alpha, rho, x, detuning)
+    theta = _reference_jitter(R, target, use_approx)
+    d = degrade(R, PhaseNoiseModel(theta))
+    return theta, (d.r_minus_db - sq) ** 2 + (d.r_plus_db - asq) ** 2, "ok", x
+
+
 class TestFitTheta:
     def test_benchmark_recovery(self):
         measured = MeasuredLevels(squeezing_db=-5.80, anti_squeezing_db=12.72)
@@ -213,6 +257,35 @@ class TestFitTheta:
         exact = fit_theta(measured, PREDICTED)
         approx = fit_theta(measured, PREDICTED, use_approx=True)
         assert approx.theta_rms_deg == pytest.approx(exact.theta_rms_deg, abs=0.05)
+
+    @pytest.mark.parametrize("use_approx", [False, True])
+    def test_closed_form_matches_reference_bit_for_bit(self, use_approx):
+        # Seeded pairs: forward-model predictions and arbitrary pairs below
+        # shot noise, either way round (R_+ + R_- < 2 lets the small-angle
+        # law clamp), with readings below the floor, at it, within reach and
+        # beyond pi/4.
+        rng = np.random.default_rng(27)
+        kinds = set()
+        for i in range(240):
+            if i % 4 == 3:
+                predicted = QuadratureVariances(*(float(v) for v in rng.uniform(0.05, 0.99, 2)))
+            else:
+                predicted = forward_variances(
+                    float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.5, 1.0)),
+                    float(rng.uniform(0.0, 0.99)), float(rng.choice([0.0, 0.028, 0.6])),
+                )
+            floor, mid = predicted.r_minus, 0.5 * (predicted.r_plus + predicted.r_minus)
+            target = float(rng.uniform(0.3 * floor, min(mid * 1.2, 0.999)))
+            if i % 8 == 1:  # either side of the floor's 1e-12 tolerance
+                target = floor * (1.0 - 10.0 ** float(rng.uniform(-14.0, -10.0)))
+            measured = MeasuredLevels(to_db(target))
+            fit = fit_theta(measured, predicted, use_approx=use_approx)
+            expected = _reference_fit_theta(measured, predicted, use_approx)
+            assert (fit.theta_rms, fit.residual, fit.status) == expected, (measured, predicted)
+            assert (fit.iterations, fit.x) == (0, None)
+            kinds.add(fit.status if fit.theta_rms != THETA_MAX else "clamped")
+            kinds.add("unsqueezed" if predicted.r_plus <= predicted.r_minus else "squeezed")
+        assert kinds == {"ok", "infeasible", "clamped", "unsqueezed", "squeezed"}
 
 
 class TestFitJoint:
@@ -305,6 +378,27 @@ class TestFitJoint:
         assert (fit.status, fit.iterations) == ("ok", 0)
         assert fit.x == pytest.approx(x_true, abs=1e-9)
         assert fit.theta_rms == pytest.approx(theta_true, abs=1e-6)
+
+    @pytest.mark.parametrize("use_approx", [False, True])
+    def test_exact_branch_matches_reference_bit_for_bit(self, use_approx):
+        # Seeded readings that some (x, theta_rms) reproduces under the law fitted.
+        degrade = degrade_approx if use_approx else degrade_exact
+        rng = np.random.default_rng(28)
+        solved = 0
+        while solved < 220:
+            alpha, rho = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.5, 1.0))
+            detuning = float(rng.choice([0.0, 0.028, 0.6]))
+            R = forward_variances(alpha, rho, float(rng.uniform(0.01, 0.99)), detuning)
+            d = degrade(R, PhaseNoiseModel(float(rng.uniform(0.0, 0.7))))
+            if not d.r_minus < 1.0 < d.r_plus:  # jitter can lift R_- above shot noise
+                continue
+            solved += 1
+            measured = MeasuredLevels(d.r_minus_db, d.r_plus_db)
+            fit = fit_joint(measured, alpha, rho, detuning, use_approx=use_approx)
+            expected = _reference_joint_exact(measured, alpha, rho, detuning, use_approx)
+            case = (measured, alpha, rho, detuning)
+            assert fit.iterations == 0, case
+            assert (fit.theta_rms, fit.residual, fit.status, fit.x) == expected, case
 
     def test_sum_of_two_solved_at_x_zero(self):
         # R_+ + R_- = 2 exactly puts the root at x = 0, whose shot-noise

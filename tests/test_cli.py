@@ -795,10 +795,13 @@ class TestExactOutput:
         )
 
 
-def _python(code: str, *args: str, module: bool = False) -> subprocess.CompletedProcess:
-    """Run ``code`` (or ``-m code``) in a fresh interpreter on the source tree."""
+def _python(
+    code: str, *args: str, module: bool = False, flags: tuple[str, ...] = ()
+) -> subprocess.CompletedProcess:
+    """Run ``code`` (or ``-m code``) in a fresh interpreter on the source
+    tree, with interpreter ``flags`` before it."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    cmd = [sys.executable, "-m" if module else "-c", code, *args]
+    cmd = [sys.executable, *flags, "-m" if module else "-c", code, *args]
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -943,3 +946,40 @@ def test_python_m_matches_main(capsys, module):
     assert code == EXIT_OK
     assert proc.stdout == out
     assert json.loads(proc.stdout)["gain"] == pytest.approx(8.83, rel=1e-9)
+
+
+class TestNoTraceback:
+    """Inputs that must end in one error line and exit 2, not in a traceback
+    with exit 1, the code of a failed ``paper --check``."""
+
+    # json.loads raises RecursionError, not ValueError, on deep nesting;
+    # ~1,000 levels do it on some interpreters, 100,000 on all.
+    DEPTH = 100_000
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [(("predict",), "[" * DEPTH + "]" * DEPTH),
+         (("paper", "--list", "--dataset"), '{"a": ' * DEPTH + "1" + "}" * DEPTH)],
+        ids=["config", "dataset"],
+    )
+    def test_deeply_nested_json_is_named(self, tmp_path, argv, content):
+        path = tmp_path / "deep.json"
+        path.write_text(content)
+        proc = _python("sqzopo", *argv, str(path), module=True)
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, ""), proc.stderr
+        assert proc.stderr.startswith(f"error: {path}: not valid JSON: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_warning_raised_as_error_exits_2(self, tmp_path, command):
+        # Under -W error the pi/4 warning of a wide jitter is an exception.
+        if command == "predict":
+            argv = ("predict", _write_config(
+                tmp_path, lambda raw: raw["noise"].update(theta_rms_deg=50.0)))
+        else:
+            argv = ("sweep", CONFIG, "--theta-deg", "60", "--pmin", "50", "--pmax", "450",
+                    "--steps", "2", "--anchor", "250:8.83")
+        proc = _python("sqzopo", *argv, module=True, flags=("-W", "error"))
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, ""), proc.stderr
+        assert proc.stderr.startswith("error: theta_rms = ")
+        assert "exceeds pi/4" in proc.stderr and "Traceback" not in proc.stderr
