@@ -181,7 +181,8 @@ def fit_joint(
     When no point of [0, PUMP_X_MAX] x [0, pi/4] reproduces the pair, the
     dB least-squares optimum lies on an edge of that box (x = 0 is a point
     of the theta_rms = 0 edge); the best of a golden-section search along
-    each remaining edge is returned.  Deterministic for fixed inputs.
+    each remaining edge is returned.  That optimum is the fit, so its status
+    stays ``"ok"``.  Deterministic for fixed inputs.
     alpha, rho and detuning are checked once; both branches then run
     unchecked on the float forms, which stay positive for x <= PUMP_X_MAX.
     """

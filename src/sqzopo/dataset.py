@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, _named, _number, _read_json, _require
-from .model import PumpOperatingPoint, forward_variances
+from .model import PumpOperatingPoint, _check_inputs, forward_variances
 from .phase_noise import PhaseNoiseModel, degrade_exact
 
 CHECK_TOL_EFFICIENCY = 0.001
@@ -99,7 +99,10 @@ def reproduce(dataset: dict, cfg: ExperimentConfig) -> list[tuple[str, bool, str
         # A record the domain object rejects is named like a malformed one.
         return _named(f"crystal_1.{name}", make, value)
 
-    rho, alpha, omega_ratio = read("rho"), read("alpha"), read("detuning")
+    # forward_variances checks these three together; check each as it is read.
+    rho = read("rho", make=lambda rho: _check_inputs(1.0, rho, 0.0, 0.0) or rho)
+    alpha = read("alpha", make=lambda alpha: _check_inputs(alpha, 1.0, 0.0, 0.0) or alpha)
+    omega_ratio = read("detuning", make=lambda om: _check_inputs(1.0, 1.0, 0.0, om) or om)
     check("escape efficiency", derived["rho"], rho, CHECK_TOL_EFFICIENCY)
     check("detection efficiency", derived["alpha"], alpha, CHECK_TOL_EFFICIENCY)
     check("detuning", derived["detuning"], omega_ratio, CHECK_TOL_EFFICIENCY)
@@ -124,17 +127,20 @@ def reproduce(dataset: dict, cfg: ExperimentConfig) -> list[tuple[str, bool, str
 
     # Correction step: the configured clearance must map the raw measured
     # level onto the quoted inferred one before the inferred level is fit.
-    inferred_db = read("inferred_squeezing_db")
+    inferred = read("inferred_squeezing_db", make=MeasuredLevels)
+    inferred_db = inferred.squeezing_db
     ok_corr = True
     corr_note = "no clearance configured, correction step skipped"
     clearance = cfg.detection_chain().dark_clearance
     if clearance is not None:
-        corrected_db = dark_noise_correct(read("measured_squeezing_db"), clearance)
+        corrected_db = read(
+            "measured_squeezing_db", make=lambda db: dark_noise_correct(db, clearance)
+        )
         ok_corr = abs(corrected_db - inferred_db) <= read("inferred_squeezing_db", "uncertainty")
         corr_note = f"corrected raw level {corrected_db:.2f} dB vs {inferred_db} dB"
 
     # The jitter-only fit reads the squeezing level alone.
-    fit = fit_theta(MeasuredLevels(inferred_db), predicted)
+    fit = fit_theta(inferred, predicted)
     expected_theta = read("theta_rms_deg")
     theta_tol = read("theta_rms_deg", "uncertainty")
     ok = ok_corr and fit.status == "ok" and abs(fit.theta_rms_deg - expected_theta) <= theta_tol

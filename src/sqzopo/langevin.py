@@ -177,7 +177,9 @@ def simulate_output_spectrum(
     evaluated at each requested frequency by linear interpolation between
     the two nearest bins (requests are clamped to the resolved interior
     band, excluding the DC and Nyquist bins).  Means and standard errors
-    are taken across segments in fixed segment order.
+    are taken across segments in fixed segment order.  A run whose working
+    set exceeds the machine's physical memory raises ValueError before
+    anything is allocated.
     """
     omegas = [float(om) for om in omega_list]
     if not omegas:

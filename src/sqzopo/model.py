@@ -62,7 +62,11 @@ class InfeasibleCorrectionError(ValueError):
 class Record:
     """Immutable value object.  A subclass's ``__init__`` names its fields in
     its signature and first calls ``self._store(locals())``, then checks them.
-    Records compare, hash and print by field name (no ``__dict__``)."""
+    Records compare, hash and print by field name (no ``__dict__``).
+
+    Records are plain classes, not dataclasses, so that no call imports
+    :mod:`dataclasses`; ``replace``, ``fields`` and ``asdict`` do not apply.
+    A changed copy is ``type(r)(**{**vars(r), "field": value})``."""
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__

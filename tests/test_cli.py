@@ -529,7 +529,11 @@ class TestBenchmarkDataset:
         assert code == EXIT_VALIDATION
         assert out == "" and "crystal_1." in err
 
-    @pytest.mark.parametrize("record, value", [("theta_rms_deg", -2.0), ("gain", 0.5)])
+    @pytest.mark.parametrize(
+        "record, value",
+        [("theta_rms_deg", -2.0), ("gain", 0.5), ("alpha", -1.0), ("rho", 1.5),
+         ("detuning", -0.1), ("inferred_squeezing_db", 1.0)],
+    )
     def test_check_with_unphysical_record_names_it(self, capsys, tmp_path, record, value):
         data = load_dataset()
         data["crystals"][0]["records"][record]["value"] = value
