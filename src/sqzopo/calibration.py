@@ -51,21 +51,25 @@ class MeasuredLevels(Record):
 
 
 class FitResult(Record):
-    """Fitted phase jitter (radians), optional pump parameter, the final
-    sum of squared dB residuals, and the solver effort (golden-section
-    steps of the edge search; 0 for a pure closed form)."""
+    """Fitted phase jitter (radians), the final sum of squared dB residuals,
+    the branch the fit took and a joint fit's pump parameter.  fit_theta ends
+    ``exact``, ``clamped`` (pi/4) or ``infeasible``; fit_joint ends ``exact``
+    or on the edge that won: ``edge_theta0``, ``edge_theta_max`` or ``edge_x_max``."""
 
     def __init__(
-        self, theta_rms: float, residual: float, iterations: int, status: str = "ok",
-        x: float | None = None,
+        self, theta_rms: float, residual: float, branch: str, x: float | None = None
     ) -> None:
         self._store(locals())
-        if not residual >= 0.0:
-            raise ValueError(f"residual must be >= 0, got {residual}")
-        if not 0.0 <= theta_rms <= THETA_MAX:
-            raise ValueError(f"theta_rms {theta_rms} outside [0, pi/4]")
         if x is not None:
             _check_pump_parameter(x)
+
+    @property
+    def status(self) -> str:
+        return "infeasible" if self.branch == "infeasible" else "ok"
+
+    @property
+    def iterations(self) -> int:  # golden-section steps of the edge search
+        return 3 * _GOLDEN_STEPS if self.branch.startswith("edge_") else 0
 
     @property
     def theta_rms_deg(self) -> float:
@@ -147,21 +151,20 @@ def fit_theta(
     anti-squeezed one is nearly insensitive to jitter); a level needing
     more than pi/4 of jitter is clamped to pi/4.
 
-    A measured level below the jitter-free floor ``predicted.r_minus``
-    cannot be explained by any jitter; the result is then flagged
-    ``status="infeasible"`` with the boundary value theta_rms = 0.
+    A measured level below the jitter-free floor ``predicted.r_minus`` cannot
+    be explained by any jitter; the fit then ends ``infeasible`` at theta_rms = 0.
     Both records were checked when built; the float forms run unchecked.
     """
     r_plus, r_minus = predicted.r_plus, predicted.r_minus
     target = from_db(measured.squeezing_db)
     if _below_floor(target, r_minus):
-        theta, status = 0.0, "infeasible"
+        theta, branch = 0.0, "infeasible"
     else:
-        theta, status = _jitter_for(r_plus, r_minus, target, use_approx), "ok"
-        theta = THETA_MAX if theta is None else theta
+        theta = _jitter_for(r_plus, r_minus, target, use_approx)
+        theta, branch = (THETA_MAX, "clamped") if theta is None else (theta, "exact")
     degraded_minus = _mixed(r_plus, r_minus, _lam(theta, use_approx))[1]
     residual = (10.0 * math.log10(degraded_minus) - measured.squeezing_db) ** 2
-    return FitResult(theta_rms=theta, residual=residual, iterations=0, status=status)
+    return FitResult(theta_rms=theta, residual=residual, branch=branch)
 
 
 def fit_joint(
@@ -182,7 +185,7 @@ def fit_joint(
     dB least-squares optimum lies on an edge of that box (x = 0 is a point
     of the theta_rms = 0 edge); the best of a golden-section search along
     each remaining edge is returned.  That optimum is the fit, so its status
-    stays ``"ok"``.  Deterministic for fixed inputs.
+    stays ``"ok"``; its branch names the edge.  Deterministic for fixed inputs.
     alpha, rho and detuning are checked once; both branches then run
     unchecked on the float forms, which stay positive for x <= PUMP_X_MAX.
     """
@@ -208,11 +211,12 @@ def fit_joint(
             theta = _jitter_for(r_plus, r_minus, target_minus, use_approx)
             if theta is not None and not _below_floor(target_minus, r_minus):
                 residual = resid(x, _lam(theta, use_approx))
-                return FitResult(theta_rms=theta, residual=residual, iterations=0, x=x)
+                return FitResult(theta_rms=theta, residual=residual, branch="exact", x=x)
 
     r0, x0 = _golden_min(lambda x: resid(x, 1.0), 0.0, PUMP_X_MAX)  # theta_rms = 0
     lam_max = _lam(THETA_MAX, use_approx)
     r1, x1 = _golden_min(lambda x: resid(x, lam_max), 0.0, PUMP_X_MAX)
     r2, t2 = _golden_min(lambda t: resid(PUMP_X_MAX, _lam(t, use_approx)), 0.0, THETA_MAX)
-    r, x, theta = min((r0, x0, 0.0), (r1, x1, THETA_MAX), (r2, PUMP_X_MAX, t2))
-    return FitResult(theta_rms=theta, residual=r, iterations=3 * _GOLDEN_STEPS, x=x)
+    r, x, theta, branch = min((r0, x0, 0.0, "edge_theta0"), (r1, x1, THETA_MAX, "edge_theta_max"),
+                              (r2, PUMP_X_MAX, t2, "edge_x_max"))  # the names sort in this order
+    return FitResult(theta_rms=theta, residual=r, branch=branch, x=x)

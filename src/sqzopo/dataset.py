@@ -32,7 +32,7 @@ def load_dataset(path: str | Path | None = None) -> dict:
 
     Every crystal needs a string ``name`` and a ``records`` object.  Each
     record needs a finite numeric ``value``, a finite numeric
-    ``uncertainty`` where one is given, and a string ``anchor``.
+    ``uncertainty`` >= 0 where one is given, and a string ``anchor``.
     :class:`ConfigError` names the first field that does not comply; which
     records a check needs is up to the check that reads them.
     """
@@ -53,8 +53,9 @@ def load_dataset(path: str | Path | None = None) -> dict:
             if not isinstance(record, dict):
                 raise ConfigError(where, "record must be a JSON object")
             _number(_require(record, where, "value"), f"{where}.value")
-            if "uncertainty" in record:
-                _number(record["uncertainty"], f"{where}.uncertainty")
+            uncertainty = _number(record.get("uncertainty", 0.0), f"{where}.uncertainty")
+            if uncertainty < 0.0:
+                raise ConfigError(f"{where}.uncertainty", f"must be >= 0, got {uncertainty}")
             if not isinstance(_require(record, where, "anchor"), str):
                 raise ConfigError(f"{where}.anchor", "expected a string")
     return data

@@ -71,7 +71,10 @@ def _reference_edge_search(measured, alpha, rho, detuning, use_approx):
     r0, x0 = _golden_min(lambda x: resid(x, 0.0), 0.0, PUMP_X_MAX)
     r1, x1 = _golden_min(lambda x: resid(x, THETA_MAX), 0.0, PUMP_X_MAX)
     r2, t2 = _golden_min(lambda t: resid(PUMP_X_MAX, t), 0.0, THETA_MAX)
-    return min((r0, x0, 0.0), (r1, x1, THETA_MAX), (r2, PUMP_X_MAX, t2))
+    # On a tie the edge listed first wins.
+    edges = [(r0, x0, 0.0), (r1, x1, THETA_MAX), (r2, PUMP_X_MAX, t2)]
+    best = min(edges)
+    return (*best, ("edge_theta0", "edge_theta_max", "edge_x_max")[edges.index(best)])
 
 
 class TestDarkNoiseCorrect:
@@ -81,8 +84,11 @@ class TestDarkNoiseCorrect:
         assert corrected == pytest.approx(-5.799749424485112, rel=1e-12)
 
     def test_ideal_detector_is_identity(self):
-        for level in (-12.0, -5.6, 0.0, 7.3):
+        # The general path would give -5.800000000000001 for -5.8 and raise
+        # for -4000 dB, whose linear ratio underflows to 0.
+        for level in (-12.0, -5.6, 0.0, 7.3, -5.8, -4000.0):
             assert dark_noise_correct(level, 0.0) == level
+            assert dark_noise_uncorrect(level, 0.0) == level
 
     def test_shot_noise_maps_to_shot_noise(self):
         for clearance in (0.001, 0.0168, 0.1):
@@ -161,20 +167,25 @@ class TestFitResult:
         # The model's bound: x between PUMP_X_MAX and 1 is out of range too.
         for x in (0.9999999995, 1.0, -0.1, math.nan):
             with pytest.raises(ValueError, match=r"x must be in \[0, 0\.999999999\], got"):
-                FitResult(0.0, 0.0, 0, x=x)
+                FitResult(0.0, 0.0, "exact", x=x)
 
-    def test_residual_and_theta_range(self):
-        # The fits never produce these; a direct construction must not either.
-        with pytest.raises(ValueError, match=r"residual must be >= 0, got -1e-12"):
-            FitResult(0.075, -1e-12, 0)
-        with pytest.raises(ValueError, match=r"residual must be >= 0, got nan"):
-            FitResult(0.1, math.nan, 0)
-        with pytest.raises(ValueError, match=r"theta_rms 0\.785398164\d* outside \[0, pi/4\]"):
-            FitResult(math.pi / 4 + 1e-9, 0.0, 0)
+    @pytest.mark.parametrize(
+        "branch, status, iterations",
+        [("exact", "ok", 0), ("clamped", "ok", 0), ("infeasible", "infeasible", 0),
+         ("edge_theta0", "ok", 240), ("edge_theta_max", "ok", 240), ("edge_x_max", "ok", 240)],
+    )
+    def test_status_and_iterations_follow_the_branch(self, branch, status, iterations):
+        fit = FitResult(0.075, 0.0, branch)
+        assert (fit.status, fit.iterations) == (status, iterations)
+        for name, value in (("status", status), ("iterations", iterations)):
+            with pytest.raises(TypeError):
+                FitResult(0.075, 0.0, branch, **{name: value})
+            with pytest.raises(AttributeError):
+                setattr(fit, name, value)
 
 
 def _reference_jitter(R, target, use_approx):
-    """The closed-form jitter inverse read from a checked record, clamped to pi/4."""
+    """The closed-form jitter inverse read from a checked record, unclamped."""
     spread = R.r_plus - R.r_minus
     lam = (R.r_plus + R.r_minus - 2.0 * target) / spread if spread > 0.0 else 1.0
     if lam >= 1.0:
@@ -183,7 +194,7 @@ def _reference_jitter(R, target, use_approx):
         theta = 0.5 * math.acos(max(lam, -1.0))
     else:
         theta = math.sqrt(-0.5 * math.log(lam)) if lam > 0.0 else math.inf
-    return theta if theta <= THETA_MAX else THETA_MAX
+    return theta
 
 
 def _reference_fit_theta(measured, predicted, use_approx):
@@ -192,11 +203,12 @@ def _reference_fit_theta(measured, predicted, use_approx):
     degrade = degrade_approx if use_approx else degrade_exact
     target = from_db(measured.squeezing_db)
     if target < predicted.r_minus * (1.0 - 1e-12):
-        theta, status = 0.0, "infeasible"
+        theta, branch = 0.0, "infeasible"
     else:
-        theta, status = _reference_jitter(predicted, target, use_approx), "ok"
+        theta = _reference_jitter(predicted, target, use_approx)
+        theta, branch = (THETA_MAX, "clamped") if theta > THETA_MAX else (theta, "exact")
     degraded = degrade(predicted, PhaseNoiseModel(theta))
-    return theta, (degraded.r_minus_db - measured.squeezing_db) ** 2, status
+    return theta, (degraded.r_minus_db - measured.squeezing_db) ** 2, branch
 
 
 def _reference_joint_exact(measured, alpha, rho, detuning, use_approx):
@@ -213,20 +225,19 @@ def _reference_joint_exact(measured, alpha, rho, detuning, use_approx):
     R = forward_variances(alpha, rho, x, detuning)
     theta = _reference_jitter(R, target, use_approx)
     d = degrade(R, PhaseNoiseModel(theta))
-    return theta, (d.r_minus_db - sq) ** 2 + (d.r_plus_db - asq) ** 2, "ok", x
+    return theta, (d.r_minus_db - sq) ** 2 + (d.r_plus_db - asq) ** 2, "exact", x
 
 
 class TestFitTheta:
     def test_benchmark_recovery(self):
         measured = MeasuredLevels(squeezing_db=-5.80, anti_squeezing_db=12.72)
         fit = fit_theta(measured, PREDICTED)
-        assert fit.status == "ok"
+        assert (fit.status, fit.branch) == ("ok", "exact")
         # frozen from a 0.01-degree grid scan: 4.22 degrees
         assert fit.theta_rms_deg == pytest.approx(4.220796937626596, abs=0.01)
         assert fit.theta_rms_deg == pytest.approx(4.22080, abs=1e-4)
         assert abs(fit.theta_rms_deg - 4.3) <= 0.6
         assert fit.residual < 1e-12
-        assert fit.iterations == 0  # closed form
         assert fit.x is None and fit.gain is None
 
     def test_measurement_at_floor_gives_zero_jitter(self):
@@ -245,10 +256,11 @@ class TestFitTheta:
         direct_fit = fit_theta(MeasuredLevels(-5.80, 12.72), PREDICTED)
         assert abs(raw_fit.theta_rms_deg - direct_fit.theta_rms_deg) <= 0.05
 
-    def test_infeasible_below_floor(self):
+    @pytest.mark.parametrize("use_approx", [False, True])
+    def test_infeasible_below_floor(self, use_approx):
         measured = MeasuredLevels(squeezing_db=-9.5, anti_squeezing_db=12.72)
-        fit = fit_theta(measured, PREDICTED)
-        assert fit.status == "infeasible"
+        fit = fit_theta(measured, PREDICTED, use_approx=use_approx)
+        assert (fit.status, fit.branch) == ("infeasible", "infeasible")
         assert fit.theta_rms == 0.0
         assert fit.residual > 0.0
 
@@ -281,11 +293,11 @@ class TestFitTheta:
             measured = MeasuredLevels(to_db(target))
             fit = fit_theta(measured, predicted, use_approx=use_approx)
             expected = _reference_fit_theta(measured, predicted, use_approx)
-            assert (fit.theta_rms, fit.residual, fit.status) == expected, (measured, predicted)
-            assert (fit.iterations, fit.x) == (0, None)
-            kinds.add(fit.status if fit.theta_rms != THETA_MAX else "clamped")
+            assert (fit.theta_rms, fit.residual, fit.branch) == expected, (measured, predicted)
+            assert fit.x is None
+            kinds.add(fit.branch)
             kinds.add("unsqueezed" if predicted.r_plus <= predicted.r_minus else "squeezed")
-        assert kinds == {"ok", "infeasible", "clamped", "unsqueezed", "squeezed"}
+        assert kinds == {"exact", "infeasible", "clamped", "unsqueezed", "squeezed"}
 
 
 class TestFitJoint:
@@ -294,7 +306,7 @@ class TestFitJoint:
         fit = fit_joint(measured, 0.953, 0.932, 0.028)
         # frozen from the 2-D grid scan: x = 0.6456, theta = 4.39 deg,
         # residual 4.35e-6 (gain 7.96)
-        assert fit.status == "ok"
+        assert (fit.status, fit.branch) == ("ok", "exact")
         assert fit.x == pytest.approx(0.6456, abs=1e-3)
         assert fit.theta_rms_deg == pytest.approx(4.39, abs=0.02)
         assert fit.gain == pytest.approx(7.96, abs=0.02)
@@ -375,7 +387,7 @@ class TestFitJoint:
         )
         measured = MeasuredLevels(degraded.r_minus_db, degraded.r_plus_db)
         fit = fit_joint(measured, 0.953, 0.932, omega)
-        assert (fit.status, fit.iterations) == ("ok", 0)
+        assert (fit.status, fit.branch) == ("ok", "exact")
         assert fit.x == pytest.approx(x_true, abs=1e-9)
         assert fit.theta_rms == pytest.approx(theta_true, abs=1e-6)
 
@@ -397,8 +409,8 @@ class TestFitJoint:
             fit = fit_joint(measured, alpha, rho, detuning, use_approx=use_approx)
             expected = _reference_joint_exact(measured, alpha, rho, detuning, use_approx)
             case = (measured, alpha, rho, detuning)
-            assert fit.iterations == 0, case
-            assert (fit.theta_rms, fit.residual, fit.status, fit.x) == expected, case
+            assert (fit.theta_rms, fit.residual, fit.branch, fit.x) == expected, case
+            assert fit.status == "ok", case
 
     def test_sum_of_two_solved_at_x_zero(self):
         # R_+ + R_- = 2 exactly puts the root at x = 0, whose shot-noise
@@ -407,14 +419,17 @@ class TestFitJoint:
         sq, asq = measured.squeezing_db, measured.anti_squeezing_db
         assert from_db(sq) + from_db(asq) == 2.0
         fit = fit_joint(measured, 0.953, 0.932, 0.028)
-        assert (fit.status, fit.iterations) == ("ok", 240)
+        assert (fit.status, fit.branch) == ("ok", "edge_theta0")
         assert fit.residual < (sq**2 + asq**2)
 
+    @pytest.mark.parametrize("use_approx", [False, True])
     @pytest.mark.parametrize("omega", [0.0, 0.028])
-    def test_sum_beyond_reach_falls_back(self, omega):
-        fit = fit_joint(_pair_beyond_reach(omega), 0.953, 0.932, omega)
-        assert (fit.status, fit.iterations) == ("ok", 240)
-        assert 0.0 <= fit.x <= PUMP_X_MAX
+    def test_sum_beyond_reach_falls_back(self, omega, use_approx):
+        # The optimum is the corner (PUMP_X_MAX, 0), which ends both the
+        # theta_rms = 0 edge and the x = PUMP_X_MAX one; the edge listed first wins.
+        fit = fit_joint(_pair_beyond_reach(omega), 0.953, 0.932, omega, use_approx=use_approx)
+        assert (fit.status, fit.branch) == ("ok", "edge_theta0")
+        assert (fit.x, fit.theta_rms) == (PUMP_X_MAX, 0.0)
 
     def test_edge_search_matches_reference_bit_for_bit(self):
         # Seeded pairs that take the edge branch, under both jitter laws and
@@ -430,22 +445,22 @@ class TestFitJoint:
                 sq, asq = -rng.uniform(0.001, 1.0), rng.uniform(0.001, 3.0)
             omega = (0.0, 0.028, 0.6)[len(cases) % 3]
             measured = MeasuredLevels(float(sq), float(asq))
-            if fit_joint(measured, 0.953, 0.932, omega).iterations:
+            if fit_joint(measured, 0.953, 0.932, omega).branch != "exact":
                 cases.append((measured, omega))
         winners = set()
         for measured, omega in cases:
             for use_approx in (False, True):
                 fit = fit_joint(measured, 0.953, 0.932, omega, use_approx=use_approx)
-                if fit.iterations == 0:
+                if fit.branch == "exact":
                     continue  # the other law can solve a pair exactly
                 case = (measured, omega, use_approx)
-                assert (fit.status, fit.iterations) == ("ok", 240), case
+                assert fit.status == "ok", case
                 expected = _reference_edge_search(measured, 0.953, 0.932, omega, use_approx)
-                assert (fit.residual, fit.x, fit.theta_rms) == expected, case
-                winners.add((use_approx, expected[2] if expected[2] in (0.0, THETA_MAX)
-                             else "x_max"))
-        assert winners >= {(False, 0.0), (False, THETA_MAX), (False, "x_max"),
-                           (True, 0.0), (True, "x_max")}
+                assert (fit.residual, fit.x, fit.theta_rms, fit.branch) == expected, case
+                winners.add((use_approx, fit.branch))
+        # theta_rms = pi/4 wins only under the exact law.
+        assert winners == {(False, "edge_theta0"), (False, "edge_theta_max"),
+                           (False, "edge_x_max"), (True, "edge_theta0"), (True, "edge_x_max")}
 
     @pytest.mark.parametrize("measured", [MeasuredLevels(-5.80, 12.72), MeasuredLevels(-9.0, 9.5)],
                              ids=["exact", "edge"])

@@ -250,10 +250,13 @@ class TestSweep:
             )
             assert code == EXIT_VALIDATION, (anchor, out)
 
-    @pytest.mark.parametrize("anchor", ["250:0.5", "250:1e33", "250:1e20", "250:1"])
+    @pytest.mark.parametrize(
+        "anchor", ["250:0.5", "250:1e33", "250:1e20", "250:1", "0:8.83", "-250:8.83"]
+    )
     def test_rejected_anchor_gain_is_named(self, capsys, anchor):
+        # "=" keeps argparse from reading a negative power as an option.
         code, out, err = _run(
-            capsys, "sweep", CONFIG, "--pmin", "50", "--pmax", "200", "--anchor", anchor
+            capsys, "sweep", CONFIG, "--pmin", "50", "--pmax", "200", f"--anchor={anchor}"
         )
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith("error: --anchor: ")
@@ -606,6 +609,16 @@ class TestBenchmarkDataset:
             code, out, err = _run(capsys, "paper", mode, "--dataset", str(path))
             assert code == EXIT_VALIDATION
             assert out == "" and err.startswith("error: crystal_2.")
+
+    def test_negative_uncertainty_is_named(self, capsys, tmp_path):
+        data = load_dataset()
+        data["crystals"][0]["records"]["theta_rms_deg"]["uncertainty"] = -0.6
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(data))
+        for mode in ("--list", "--check"):
+            code, out, err = _run(capsys, "paper", mode, "--dataset", str(path))
+            assert (code, out) == (EXIT_VALIDATION, "")
+            assert err == "error: crystal_1.theta_rms_deg.uncertainty: must be >= 0, got -0.6\n"
 
     def test_crystal_without_a_string_name_is_named(self, capsys, tmp_path):
         data = load_dataset()

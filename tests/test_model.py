@@ -328,8 +328,8 @@ RECORDS = [
     (PhaseNoiseModel, dict(theta_rms=0.075), {}, {"theta_rms": 0.0}),
     (MeasuredLevels, dict(squeezing_db=-5.8), {"anti_squeezing_db": None},
      {"anti_squeezing_db": 12.72}),
-    (FitResult, dict(theta_rms=0.075, residual=0.0, iterations=0), {"status": "ok", "x": None},
-     {"status": "infeasible"}),
+    (FitResult, dict(theta_rms=0.075, residual=0.0, branch="exact"), {"x": None},
+     {"branch": "infeasible"}),
     (ExperimentConfig,
      dict(cavity_T=0.15, cavity_L=0.011, round_trip_m=0.214, zeta=1.0, eta=0.994, xi=0.979,
           pump_mode="gain", pump_value=8.83, theta_rms_deg=4.3, frequency_hz=1e6),
