@@ -184,8 +184,8 @@ def fit_joint(
     When no point of [0, PUMP_X_MAX] x [0, pi/4] reproduces the pair, the
     dB least-squares optimum lies on an edge of that box (x = 0 is a point
     of the theta_rms = 0 edge); the best of a golden-section search along
-    each remaining edge is returned.  That optimum is the fit, so its status
-    stays ``"ok"``; its branch names the edge.  Deterministic for fixed inputs.
+    each remaining edge is returned, the first listed on a tie.  That optimum is
+    the fit, so its status stays ``"ok"``; its branch names the edge.
     alpha, rho and detuning are checked once; both branches then run
     unchecked on the float forms, which stay positive for x <= PUMP_X_MAX.
     """
@@ -218,5 +218,5 @@ def fit_joint(
     r1, x1 = _golden_min(lambda x: resid(x, lam_max), 0.0, PUMP_X_MAX)
     r2, t2 = _golden_min(lambda t: resid(PUMP_X_MAX, _lam(t, use_approx)), 0.0, THETA_MAX)
     r, x, theta, branch = min((r0, x0, 0.0, "edge_theta0"), (r1, x1, THETA_MAX, "edge_theta_max"),
-                              (r2, PUMP_X_MAX, t2, "edge_x_max"))  # the names sort in this order
+                              (r2, PUMP_X_MAX, t2, "edge_x_max"), key=lambda e: e[:3])
     return FitResult(theta_rms=theta, residual=r, branch=branch, x=x)

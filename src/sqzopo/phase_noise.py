@@ -70,8 +70,8 @@ def _lam(theta_rms: float, use_approx: bool) -> float:
 
 
 def _jitter_for(r_plus: float, r_minus: float, target: float, use_approx: bool) -> float | None:
-    """Inverse of the mix: the jitter width that takes the pair to the squeezed
-    variance ``target`` (small-angle form if ``use_approx``); None above pi/4."""
+    """Inverse of the mix: the jitter width that takes the pair to the squeezed variance
+    ``target`` (small-angle form if ``use_approx``); None above pi/4 by more than rounding."""
     spread = r_plus - r_minus
     # R'_- = (R_+ + R_-)/2 - lam (R_+ - R_-)/2; no jitter changes an unsqueezed pair.
     lam = (r_plus + r_minus - 2.0 * target) / spread if spread > 0.0 else 1.0
@@ -81,7 +81,7 @@ def _jitter_for(r_plus: float, r_minus: float, target: float, use_approx: bool) 
         theta = 0.5 * math.acos(max(lam, -1.0))
     else:
         theta = math.sqrt(-0.5 * math.log(lam)) if lam > 0.0 else math.inf
-    return theta if theta <= THETA_MAX else None
+    return min(theta, THETA_MAX) if theta <= THETA_MAX * (1.0 + 1e-12) else None
 
 
 def degrade_exact(R: QuadratureVariances, model: PhaseNoiseModel) -> QuadratureVariances:

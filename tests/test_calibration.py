@@ -206,7 +206,11 @@ def _reference_fit_theta(measured, predicted, use_approx):
         theta, branch = 0.0, "infeasible"
     else:
         theta = _reference_jitter(predicted, target, use_approx)
-        theta, branch = (THETA_MAX, "clamped") if theta > THETA_MAX else (theta, "exact")
+        # Rounding 1e-12 past pi/4 still reads as pi/4.
+        if theta > THETA_MAX * (1.0 + 1e-12):
+            theta, branch = THETA_MAX, "clamped"
+        else:
+            theta, branch = min(theta, THETA_MAX), "exact"
     degraded = degrade(predicted, PhaseNoiseModel(theta))
     return theta, (degraded.r_minus_db - measured.squeezing_db) ** 2, branch
 
@@ -223,7 +227,7 @@ def _reference_joint_exact(measured, alpha, rho, detuning, use_approx):
     disc = 64.0 * (c + 4.0 * alpha * rho) * (alpha * rho - c * detuning * detuning)
     x = math.sqrt(2.0 * c * k * k / (math.sqrt(disc) - b))
     R = forward_variances(alpha, rho, x, detuning)
-    theta = _reference_jitter(R, target, use_approx)
+    theta = min(_reference_jitter(R, target, use_approx), THETA_MAX)
     d = degrade(R, PhaseNoiseModel(theta))
     return theta, (d.r_minus_db - sq) ** 2 + (d.r_plus_db - asq) ** 2, "exact", x
 
