@@ -2,8 +2,8 @@
 
 Boundary units follow lab convention -- angles in degrees, powers in mW,
 dark-noise clearance in dB -- and are converted to radians / watts / linear
-ratios when domain objects are built.  A configuration is checked by
-deriving it.  Serialization reproduces the parsed tree field-for-field.
+ratios when domain objects are built.  A config is checked by deriving it
+when built.  Serialization reproduces the parsed tree field-for-field.
 """
 
 from __future__ import annotations
@@ -110,6 +110,10 @@ class ExperimentConfig(Record):
         dark_clearance_db: float | None = None, threshold_mW: float | None = None,
     ) -> None:
         self._store(locals())
+        if pump_mode not in PUMP_MODES:
+            raise ConfigError("pump.mode", f"must be one of {PUMP_MODES}, got {pump_mode!r}")
+        self.derived()
+        _named("noise.theta_rms_deg", self.phase_noise)
 
     @classmethod
     def from_dict(cls, data: dict) -> ExperimentConfig:
@@ -127,21 +131,16 @@ class ExperimentConfig(Record):
                 if key not in keys:
                     raise ConfigError(f"{name}.{key}", "unknown field")
 
-        mode = _require(data["pump"], "pump", "mode")
-        if mode not in PUMP_MODES:
-            raise ConfigError("pump.mode", f"must be one of {PUMP_MODES}, got {mode!r}")
+        _require(data["pump"], "pump", "mode")
 
         values: dict[str, object] = {}
         for attr, (name, key) in _FIELDS.items():
             value = data[name].get(key)
             if attr == "pump_mode" or (value is None and attr in _OPTIONAL):
-                values[attr] = value  # the checked mode, or an absent optional field
+                values[attr] = value  # the mode, checked when built, or an absent optional field
             else:
                 values[attr] = _number(_require(data[name], name, key), f"{name}.{key}")
-        cfg = cls(**values)
-        cfg.derived()
-        _named("noise.theta_rms_deg", cfg.phase_noise)
-        return cfg
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str | Path) -> ExperimentConfig:
@@ -198,7 +197,7 @@ class ExperimentConfig(Record):
         alpha = detection_efficiency(_named("detection", self.detection_chain))
         rho = escape_efficiency(cavity)
         x = _named("pump.value", self.pump_operating_point).x
-        if self.frequency_hz < 0:
+        if not self.frequency_hz >= 0:  # NaN too
             raise ConfigError("measurement.frequency_hz", "must be >= 0")
         omega_ratio = detuning(self.omega(), cavity)
         variances = _named(

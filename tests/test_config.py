@@ -170,17 +170,21 @@ class TestDerived:
         )
 
     def test_names_the_offending_field(self):
+        # A config checks itself when built, however it is built: here as
+        # a changed copy of a parsed one.
         cfg = ExperimentConfig.from_dict(_base_dict())
         for change, path in (
             ({"cavity_L": 0.9}, "cavity"),
             ({"round_trip_m": 1e-308}, "cavity"),
             ({"xi": 2.0}, "detection"),
             ({"pump_value": 0.5}, "pump.value"),
+            ({"pump_mode": "bogus"}, "pump.mode"),
+            ({"pump_mode": "bogus", "threshold_mW": 567.9}, "pump.mode"),
             ({"frequency_hz": -1.0}, "measurement.frequency_hz"),
             ({"frequency_hz": 1e200}, "measurement.frequency_hz"),
         ):
             with pytest.raises(ConfigError) as exc:
-                ExperimentConfig(**{**vars(cfg), **change}).derived()
+                ExperimentConfig(**{**vars(cfg), **change})
             assert exc.value.path == path, change
 
     def test_jitter_is_checked_after_the_derived_fields(self):
@@ -190,6 +194,20 @@ class TestDerived:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(raw)
         assert exc.value.path == "measurement.frequency_hz"
+
+    @pytest.mark.parametrize("section, key, value, path", [
+        # every number is parsed before the built config checks its mode
+        ("cavity", "T", "abc", "cavity.T"),
+        # the mode is checked before the config derives its cavity
+        ("cavity", "L", 0.9, "pump.mode"),
+    ])
+    def test_a_bad_mode_with_another_error(self, section, key, value, path):
+        raw = _base_dict()
+        raw["pump"]["mode"] = "volts"
+        raw[section][key] = value
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == path
 
     def test_power_mode_pump(self):
         raw = _base_dict()

@@ -3,7 +3,8 @@ with the forward model and jitter mix, invert it, and get the inputs back;
 any other finite reading fits with a finite residual or is rejected.
 The configuration boundary gets the same treatment: a parsed configuration
 serializes back to itself, and any float in any field or float flag gives a
-finite report or a named rejection, never a traceback.
+finite report or a named rejection, never a traceback; a config built from
+any field values derives finite values or names the field it rejects.
 A one-step sweep at a configuration's own pump power reproduces predict.
 """
 
@@ -30,7 +31,7 @@ from sqzopo.calibration import (
     fit_theta,
 )
 from sqzopo.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main, packaged_config_path
-from sqzopo.config import ExperimentConfig
+from sqzopo.config import _FIELDS, _OPTIONAL, PUMP_MODES, ConfigError, ExperimentConfig
 from sqzopo.model import QuadratureVariances, forward_variances
 from sqzopo.phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
 
@@ -290,6 +291,37 @@ def test_any_float_in_a_config_field_exits_cleanly(tree, entry):
             assert math.isfinite(float(out)), argv
         else:
             json.loads(out, parse_constant=_reject_constant)
+
+
+# Any value of an ExperimentConfig field: any float, None where the field is
+# optional, and a known pump mode or junk.
+FIELD_VALUES = {attr: st.floats() | st.sampled_from(EDGE_FLOATS) for attr in _FIELDS}
+FIELD_VALUES |= {attr: st.none() | FIELD_VALUES[attr] for attr in _OPTIONAL}
+FIELD_VALUES["pump_mode"] = st.sampled_from((*PUMP_MODES, "volts", "Gain", "", None, 1.0))
+FIELD_PATHS = {f"{section}.{key}" for section, key in _FIELDS.values()} | {"cavity", "detection"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tree=config_tree, changes=st.fixed_dictionaries({}, optional=FIELD_VALUES))
+@example(tree=POWER_TREE, changes={"pump_mode": "bogus"})
+@example(tree=POWER_TREE, changes={"frequency_hz": math.nan})
+def test_a_built_config_derives_finite_values_or_names_its_field(tree, changes):
+    # A valid config's fields, any of them replaced: the constructor either
+    # names the field it rejects, or the record it returns derives finite
+    # values in a known pump mode.
+    fields = {attr: tree[section].get(key) for attr, (section, key) in _FIELDS.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", r"theta_rms = .* exceeds pi/4", UserWarning)
+        try:
+            cfg = ExperimentConfig(**fields | changes)
+        except ConfigError as err:
+            assert err.path in FIELD_PATHS, err
+            return
+        derived = cfg.derived()
+    assert cfg.pump_mode in PUMP_MODES
+    assert len(derived) == 10
+    assert all(math.isfinite(value) for value in derived.values()), derived
 
 
 @ROUND_TRIP
