@@ -115,7 +115,7 @@ def _sweep_threshold_mw(args: argparse.Namespace, cfg: ExperimentConfig) -> floa
         if not threshold_mw < math.inf:
             raise ConfigError("--anchor", f"threshold {power_mw:g} mW / {x:.3g}^2 is not finite")
         return threshold_mw
-    if cfg.pump_mode == "power" and cfg.threshold_mW is not None:
+    if cfg.pump_mode == "power":
         return cfg.threshold_mW
     raise ConfigError(
         "pump", "sweep needs a threshold: use --anchor P_mW:G or a power-mode config"

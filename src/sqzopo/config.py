@@ -2,7 +2,7 @@
 
 Boundary units follow lab convention -- angles in degrees, powers in mW,
 dark-noise clearance in dB -- and are converted to radians / watts / linear
-ratios when domain objects are built.  A config is checked by deriving it
+ratios when domain objects are built.  A config parses and derives itself
 when built.  Serialization reproduces the parsed tree field-for-field.
 """
 
@@ -40,8 +40,8 @@ class ConfigError(ValueError):
 PUMP_MODES = ("gain", "x", "power")
 
 # The JSON schema, declared once: each ExperimentConfig attribute and the
-# (section, key) it is read from and written to, in the order fields are
-# checked and serialized.  The attributes in _OPTIONAL default to None.
+# (section, key) it is read from and written to, in the order the constructor
+# parses and to_dict writes them.  The attributes in _OPTIONAL default to None.
 _FIELDS = {
     "cavity_T": ("cavity", "T"),
     "cavity_L": ("cavity", "L"),
@@ -90,7 +90,7 @@ def _named(path: str, build, *args, **kwargs):
 
 
 def _number(value: object, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not hasattr(value, "__float__"):
         raise ConfigError(path, f"expected a number, got {value!r}")
     try:
         number = float(value)
@@ -109,9 +109,15 @@ class ExperimentConfig(Record):
         xi: float, pump_mode: str, pump_value: float, theta_rms_deg: float, frequency_hz: float,
         dark_clearance_db: float | None = None, threshold_mW: float | None = None,
     ) -> None:
-        self._store(locals())
+        values = dict(locals())
+        for attr, (section, key) in _FIELDS.items():
+            if attr != "pump_mode" and (values[attr] is not None or attr not in _OPTIONAL):
+                values[attr] = _number(values[attr], f"{section}.{key}")
+        self._store(values)
         if pump_mode not in PUMP_MODES:
             raise ConfigError("pump.mode", f"must be one of {PUMP_MODES}, got {pump_mode!r}")
+        if self.threshold_mW is not None and not 0.0 < self.threshold_mW * 1e-3 < math.inf:
+            raise ConfigError("pump.threshold_mW", f"must be > 0 mW, got {self.threshold_mW}")
         self.derived()
         _named("noise.theta_rms_deg", self.phase_noise)
 
@@ -132,15 +138,10 @@ class ExperimentConfig(Record):
                     raise ConfigError(f"{name}.{key}", "unknown field")
 
         _require(data["pump"], "pump", "mode")
-
-        values: dict[str, object] = {}
-        for attr, (name, key) in _FIELDS.items():
-            value = data[name].get(key)
-            if attr == "pump_mode" or (value is None and attr in _OPTIONAL):
-                values[attr] = value  # the mode, checked when built, or an absent optional field
-            else:
-                values[attr] = _number(_require(data[name], name, key), f"{name}.{key}")
-        return cls(**values)
+        return cls(**{
+            attr: data[name].get(key) if attr in _OPTIONAL else _require(data[name], name, key)
+            for attr, (name, key) in _FIELDS.items()
+        })
 
     @classmethod
     def from_file(cls, path: str | Path) -> ExperimentConfig:
@@ -197,7 +198,7 @@ class ExperimentConfig(Record):
         alpha = detection_efficiency(_named("detection", self.detection_chain))
         rho = escape_efficiency(cavity)
         x = _named("pump.value", self.pump_operating_point).x
-        if not self.frequency_hz >= 0:  # NaN too
+        if self.frequency_hz < 0:  # finite: the constructor parsed it
             raise ConfigError("measurement.frequency_hz", "must be >= 0")
         omega_ratio = detuning(self.omega(), cavity)
         variances = _named(

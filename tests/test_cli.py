@@ -127,6 +127,14 @@ class TestPredict:
             assert (code, out) == (EXIT_VALIDATION, ""), value
             assert err.startswith("error: pump.value: pump parameter x must be in [0, 0.999999999], ")
 
+    def test_non_positive_threshold_names_it_in_every_mode(self, capsys, tmp_path):
+        for mode, value in (("power", 250.0), ("gain", 8.83), ("x", 0.5)):
+            pump = {"mode": mode, "value": value, "threshold_mW": -5}
+            path = _write_config(tmp_path, lambda raw: raw.update(pump=pump))
+            code, out, err = _run(capsys, "predict", path)
+            assert (code, out) == (EXIT_VALIDATION, ""), mode
+            assert err == "error: pump.threshold_mW: must be > 0 mW, got -5.0\n", mode
+
     @pytest.mark.parametrize(
         "cavity",
         [{"T": 1e-300, "L": 0.0, "round_trip_m": 1e300}, {"round_trip_m": 1e-308},

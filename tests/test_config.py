@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sqzopo.cli import packaged_config_path
@@ -119,6 +120,14 @@ class TestValidationPaths:
             ExperimentConfig.from_dict(raw)
         assert exc.value.path == "pump.mode"
 
+    def test_non_positive_threshold(self):
+        # named as the threshold, not as the pump power it would divide
+        raw = _base_dict()
+        raw["pump"] = {"mode": "power", "value": 250.0, "threshold_mW": -5}
+        with pytest.raises(ConfigError, match="must be > 0 mW") as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == "pump.threshold_mW"
+
     def test_power_mode_requires_threshold(self):
         raw = _base_dict()
         raw["pump"] = {"mode": "power", "value": 250.0}
@@ -182,6 +191,15 @@ class TestDerived:
             ({"pump_mode": "bogus", "threshold_mW": 567.9}, "pump.mode"),
             ({"frequency_hz": -1.0}, "measurement.frequency_hz"),
             ({"frequency_hz": 1e200}, "measurement.frequency_hz"),
+            # each number is parsed when built, not only by from_dict
+            ({"cavity_T": "0.15"}, "cavity.T"),
+            ({"frequency_hz": "1e6"}, "measurement.frequency_hz"),
+            ({"cavity_T": None}, "cavity.T"),
+            ({"zeta": True}, "detection.zeta"),
+            # a threshold is checked in every pump mode, here in gain mode
+            ({"threshold_mW": math.nan}, "pump.threshold_mW"),
+            ({"threshold_mW": -5.0}, "pump.threshold_mW"),
+            ({"threshold_mW": 0.0}, "pump.threshold_mW"),
         ):
             with pytest.raises(ConfigError) as exc:
                 ExperimentConfig(**{**vars(cfg), **change})
@@ -208,6 +226,22 @@ class TestDerived:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(raw)
         assert exc.value.path == path
+
+    def test_every_key_is_found_before_a_number_is_parsed(self):
+        raw = _base_dict()
+        raw["cavity"]["T"] = "abc"
+        del raw["detection"]["xi"]
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == "detection.xi"
+
+    def test_numpy_and_int_numbers_are_stored_as_floats(self):
+        cfg = ExperimentConfig.from_dict(_base_dict())
+        given = {"cavity_T": np.float32(0.15), "zeta": np.int64(1), "pump_value": 4}
+        built = ExperimentConfig(**{**vars(cfg), **given})
+        for attr, value in given.items():
+            stored = getattr(built, attr)
+            assert type(stored) is float and stored == value, attr
 
     def test_power_mode_pump(self):
         raw = _base_dict()

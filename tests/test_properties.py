@@ -293,10 +293,15 @@ def test_any_float_in_a_config_field_exits_cleanly(tree, entry):
             json.loads(out, parse_constant=_reject_constant)
 
 
-# Any value of an ExperimentConfig field: any float, None where the field is
-# optional, and a known pump mode or junk.
-FIELD_VALUES = {attr: st.floats() | st.sampled_from(EDGE_FLOATS) for attr in _FIELDS}
-FIELD_VALUES |= {attr: st.none() | FIELD_VALUES[attr] for attr in _OPTIONAL}
+# Any value of an ExperimentConfig field: any float or int, an integer beyond
+# the float range, text, a bool or None, and a known pump mode or junk.
+NOT_A_NUMBER = (
+    st.text(max_size=4) | st.booleans() | st.none() | st.sampled_from((10**400, -10**400))
+)
+FIELD_VALUES = {
+    attr: st.floats() | st.sampled_from(EDGE_FLOATS) | st.integers() | NOT_A_NUMBER
+    for attr in _FIELDS
+}
 FIELD_VALUES["pump_mode"] = st.sampled_from((*PUMP_MODES, "volts", "Gain", "", None, 1.0))
 FIELD_PATHS = {f"{section}.{key}" for section, key in _FIELDS.values()} | {"cavity", "detection"}
 
@@ -307,8 +312,9 @@ FIELD_PATHS = {f"{section}.{key}" for section, key in _FIELDS.values()} | {"cavi
 @example(tree=POWER_TREE, changes={"frequency_hz": math.nan})
 def test_a_built_config_derives_finite_values_or_names_its_field(tree, changes):
     # A valid config's fields, any of them replaced: the constructor either
-    # names the field it rejects, or the record it returns derives finite
-    # values in a known pump mode.
+    # names the field it rejects, or the record it returns holds floats
+    # (None for an absent optional field) and derives finite values in a
+    # known pump mode.
     fields = {attr: tree[section].get(key) for attr, (section, key) in _FIELDS.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -320,6 +326,10 @@ def test_a_built_config_derives_finite_values_or_names_its_field(tree, changes):
             return
         derived = cfg.derived()
     assert cfg.pump_mode in PUMP_MODES
+    for attr in _FIELDS.keys() - {"pump_mode"}:
+        value = getattr(cfg, attr)
+        assert type(value) is float or (value is None and attr in _OPTIONAL), (attr, value)
+    assert cfg.threshold_mW is None or cfg.threshold_mW > 0
     assert len(derived) == 10
     assert all(math.isfinite(value) for value in derived.values()), derived
 
