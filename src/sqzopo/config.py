@@ -90,7 +90,9 @@ def _named(path: str, build, *args, **kwargs):
 
 
 def _number(value: object, path: str) -> float:
-    if isinstance(value, bool) or not hasattr(value, "__float__"):
+    # float() takes a bool, numpy's too, and keeps only a numpy complex's real part
+    kind = getattr(getattr(value, "dtype", None), "kind", None)
+    if isinstance(value, bool) or kind in ("b", "c") or not hasattr(value, "__float__"):
         raise ConfigError(path, f"expected a number, got {value!r}")
     try:
         number = float(value)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -196,6 +198,12 @@ class TestDerived:
             ({"frequency_hz": "1e6"}, "measurement.frequency_hz"),
             ({"cavity_T": None}, "cavity.T"),
             ({"zeta": True}, "detection.zeta"),
+            # float() takes numpy's bools and keeps a complex's real part
+            ({"zeta": np.True_}, "detection.zeta"),
+            ({"eta": np.bool_(False)}, "detection.eta"),
+            ({"cavity_T": complex(0.15, 0.0)}, "cavity.T"),
+            ({"cavity_T": np.complex64(0.15)}, "cavity.T"),
+            ({"cavity_T": np.complex128(0.15 + 1j)}, "cavity.T"),
             # a threshold is checked in every pump mode, here in gain mode
             ({"threshold_mW": math.nan}, "pump.threshold_mW"),
             ({"threshold_mW": -5.0}, "pump.threshold_mW"),
@@ -237,7 +245,10 @@ class TestDerived:
 
     def test_numpy_and_int_numbers_are_stored_as_floats(self):
         cfg = ExperimentConfig.from_dict(_base_dict())
-        given = {"cavity_T": np.float32(0.15), "zeta": np.int64(1), "pump_value": 4}
+        given = {
+            "cavity_T": np.float32(0.15), "zeta": np.int64(1), "pump_value": 4,
+            "eta": Decimal("0.875"), "xi": Fraction(15, 16), "frequency_hz": np.uint32(1_000_000),
+        }
         built = ExperimentConfig(**{**vars(cfg), **given})
         for attr, value in given.items():
             stored = getattr(built, attr)
