@@ -18,14 +18,13 @@ import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, _named
+from .config import ConfigError, ExperimentConfig, _clearance, _named
 from .model import (
     PUMP_X_MAX,
     InfeasibleCorrectionError,
     PumpOperatingPoint,
     QuadratureVariances,
     forward_variances,
-    from_db,
     gain_from_x,
 )
 from .phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
@@ -153,11 +152,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_correct(args: argparse.Namespace) -> int:
     from .calibration import dark_noise_correct
 
-    if args.clearance_db >= 0.0:
-        raise ConfigError("--clearance-db", "dark noise must lie below shot noise (< 0 dB)")
-    corrected = _named(
-        "--level-db/--clearance-db", dark_noise_correct, args.level_db, from_db(args.clearance_db)
-    )
+    clearance = _clearance(args.clearance_db, "--clearance-db")
+    try:
+        corrected = dark_noise_correct(args.level_db, clearance)
+    except InfeasibleCorrectionError:
+        raise  # exit 3, from main
+    except ValueError as err:
+        raise ConfigError("--level-db/--clearance-db", str(err)) from err
     print(f"{corrected:.6f}")
     return EXIT_OK
 

@@ -1,8 +1,8 @@
 """JSON experiment description: parsing, validation and serialization.
 
 Boundary units follow lab convention -- angles in degrees, powers in mW,
-dark-noise clearance in dB -- and are converted to radians / watts / linear
-ratios when domain objects are built.  A config parses and derives itself
+dark-noise clearance in dB -- and are converted to radians, watts and a
+linear ratio where they are used.  A config parses and derives itself
 when built.  Serialization reproduces the parsed tree field-for-field.
 """
 
@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .model import (
     DetectionChain,
-    InfeasibleCorrectionError,
     OpoCavity,
     PumpOperatingPoint,
     Record,
@@ -79,11 +78,10 @@ def _read_json(path: str | Path) -> object:
 
 def _named(path: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, with a ValueError it raises reported
-    against the input field ``path``; a ConfigError already names its own
-    field, and an InfeasibleCorrectionError keeps its own exit code."""
+    against the input field ``path``; a ConfigError names its own field."""
     try:
         return build(*args, **kwargs)
-    except (ConfigError, InfeasibleCorrectionError):
+    except ConfigError:
         raise
     except ValueError as err:
         raise ConfigError(path, str(err)) from err
@@ -103,6 +101,13 @@ def _number(value: object, path: str) -> float:
     return number
 
 
+def _clearance(level_db: float, path: str) -> float:
+    """Linear ratio of a dark-noise clearance in dB; ``< 0`` first, so none overflows."""
+    if not (level_db < 0.0 and from_db(level_db) < 1.0):
+        raise ConfigError(path, "dark noise must lie below shot noise (< 0 dB)")
+    return from_db(level_db)
+
+
 class ExperimentConfig(Record):
     """One OPO + homodyne operating point, stored in boundary units."""
 
@@ -118,6 +123,8 @@ class ExperimentConfig(Record):
         self._store(values)
         if pump_mode not in PUMP_MODES:
             raise ConfigError("pump.mode", f"must be one of {PUMP_MODES}, got {pump_mode!r}")
+        if self.dark_clearance_db is not None:
+            _clearance(self.dark_clearance_db, "detection.dark_clearance_db")
         if self.threshold_mW is not None and not 0.0 < self.threshold_mW * 1e-3 < math.inf:
             raise ConfigError("pump.threshold_mW", f"must be > 0 mW, got {self.threshold_mW}")
         self.derived()
@@ -167,12 +174,7 @@ class ExperimentConfig(Record):
         )
 
     def detection_chain(self) -> DetectionChain:
-        clearance = (
-            None if self.dark_clearance_db is None else from_db(self.dark_clearance_db)
-        )
-        return DetectionChain(
-            zeta=self.zeta, eta=self.eta, xi=self.xi, dark_clearance=clearance
-        )
+        return DetectionChain(zeta=self.zeta, eta=self.eta, xi=self.xi)
 
     def pump_operating_point(self) -> PumpOperatingPoint:
         """The pump reading, converted by the constructor its mode names."""

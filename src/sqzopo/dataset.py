@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, _named, _number, _read_json, _require
-from .model import PumpOperatingPoint, _check_inputs, forward_variances
+from .model import PumpOperatingPoint, _check_inputs, forward_variances, from_db
 from .phase_noise import PhaseNoiseModel, degrade_exact
 
 CHECK_TOL_EFFICIENCY = 0.001
@@ -132,8 +132,8 @@ def reproduce(dataset: dict, cfg: ExperimentConfig) -> list[tuple[str, bool, str
     inferred_db = inferred.squeezing_db
     ok_corr = True
     corr_note = "no clearance configured, correction step skipped"
-    clearance = cfg.detection_chain().dark_clearance
-    if clearance is not None:
+    if cfg.dark_clearance_db is not None:
+        clearance = from_db(cfg.dark_clearance_db)
         corrected_db = read(
             "measured_squeezing_db", make=lambda db: dark_noise_correct(db, clearance)
         )

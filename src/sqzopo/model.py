@@ -121,19 +121,14 @@ class OpoCavity(Record):
 
 class DetectionChain(Record):
     """Homodyne detection chain: propagation efficiency zeta, photodiode
-    quantum efficiency eta, fringe visibility xi (enters as xi^2), and an
-    optional dark-noise clearance (linear detector circuit noise power
-    relative to shot noise; None means an ideal, noiseless detector)."""
+    quantum efficiency eta and fringe visibility xi (enters as xi^2).  Dark
+    noise is no loss: ``dark_noise_correct`` removes it from a reading."""
 
-    def __init__(
-        self, zeta: float, eta: float, xi: float, dark_clearance: float | None = None
-    ) -> None:
+    def __init__(self, zeta: float, eta: float, xi: float) -> None:
         self._store(locals())
         for name, v in (("zeta", zeta), ("eta", eta), ("xi", xi)):
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if dark_clearance is not None and not 0.0 <= dark_clearance < 1.0:
-            raise ValueError(f"dark_clearance must be in [0, 1), got {dark_clearance}")
 
 
 class PumpOperatingPoint(Record):

@@ -3,7 +3,7 @@ tolerance, one printed PASS line per criterion (run with ``pytest -s`` to
 see them).
 
 Criterion 9 runs the fixed-seed Monte-Carlo grid and dominates the
-runtime (about 15 s of the suite's ~34 s on 2 cores); criterion 10, the
+runtime (about a third of the suite's time on 2 cores); criterion 10, the
 synthesize-then-fit property, takes milliseconds.
 """
 

@@ -106,13 +106,15 @@ class TestPredict:
         assert code == EXIT_VALIDATION
         assert "cavity" in err
         # json parses the NaN / Infinity literals; they must not reach a report,
-        # nor may finite values whose linear power or 4 Omega^2 overflows
+        # nor may finite values whose linear power or 4 Omega^2 overflows, nor
+        # dark noise above shot noise
         for section, key, value, named in (
             ("measurement", "frequency_hz", math.inf, "measurement.frequency_hz"),
             ("noise", "theta_rms_deg", math.nan, "noise.theta_rms_deg"),
             ("cavity", "T", -math.inf, "cavity.T"),
             ("measurement", "frequency_hz", 1e200, "measurement.frequency_hz"),
-            ("detection", "dark_clearance_db", 1e308, "detection"),
+            ("detection", "dark_clearance_db", 1e308, "detection.dark_clearance_db"),
+            ("detection", "dark_clearance_db", 0.5, "detection.dark_clearance_db"),
         ):
             path = _write_config(tmp_path, lambda raw: raw[section].update({key: value}))
             code, out, err = _run(capsys, "predict", path, "--corrected")
@@ -366,15 +368,22 @@ class TestCorrect:
     def test_nonnegative_clearance_exits_2(self, capsys):
         code, _, _ = _run(capsys, "correct", "--level-db", "-5.6", "--clearance-db", "3")
         assert code == EXIT_VALIDATION
-        # 1e308 dB is finite, but its linear power overflows
-        for level, clearance in (("nan", "-17.75"), ("inf", "-17.75"), ("nan", "-inf"),
-                                 ("-5.6", "nan"), ("1e308", "-20")):
+        # 1e308 dB is finite, but its linear power overflows; a bad clearance
+        # names its own flag
+        for level, clearance, named in (
+            ("nan", "-17.75", "--level-db/--clearance-db"),
+            ("inf", "-17.75", "--level-db/--clearance-db"),
+            ("nan", "-inf", "--level-db/--clearance-db"),
+            ("-5.6", "nan", "--clearance-db"),
+            ("-5.6", "-1e-300", "--clearance-db"),
+            ("1e308", "-20", "--level-db/--clearance-db"),
+        ):
             code, out, err = _run(
                 capsys, "correct", f"--level-db={level}", f"--clearance-db={clearance}"
             )
             assert code == EXIT_VALIDATION, (level, clearance, out)
             assert out == ""
-            assert err.startswith("error: --level-db/--clearance-db: ") and err.count("\n") == 1
+            assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
 
 
 class TestFit:
@@ -543,7 +552,9 @@ class TestBenchmarkDataset:
     @pytest.mark.parametrize(
         "record, value",
         [("theta_rms_deg", -2.0), ("gain", 0.5), ("alpha", -1.0), ("rho", 1.5),
-         ("detuning", -0.1), ("inferred_squeezing_db", 1.0)],
+         ("detuning", -0.1), ("inferred_squeezing_db", 1.0),
+         # at or below the shipped -17.75 dB clearance: no optical level
+         ("measured_squeezing_db", -20.0)],
     )
     def test_check_with_unphysical_record_names_it(self, capsys, tmp_path, record, value):
         data = load_dataset()
@@ -672,6 +683,12 @@ class TestBenchmarkDataset:
                  for i, (name, ok, detail) in enumerate(results, start=1)]
         assert len(results) == 6 and all(ok for _, ok, _ in results)
         assert "".join(lines) == _run(capsys, "paper", "--check")[1]
+
+    def test_library_checks_without_a_clearance_skip_the_correction(self):
+        # the power-mode config gives no clearance, so nothing is corrected
+        results = dataset.reproduce(load_dataset(), ExperimentConfig.from_file(CONFIG_POWER))
+        assert len(results) == 6 and all(ok for _, ok, _ in results)
+        assert results[-1][2].endswith("(no clearance configured, correction step skipped)")
 
     def test_list_and_check_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,7 @@ import pytest
 
 from sqzopo.cli import packaged_config_path
 from sqzopo.config import ConfigError, ExperimentConfig
-from sqzopo.model import cavity_decay_rate, detection_efficiency, escape_efficiency, from_db
+from sqzopo.model import cavity_decay_rate, detection_efficiency, escape_efficiency
 
 
 def _base_dict() -> dict:
@@ -171,14 +171,9 @@ class TestDerived:
         assert derived["r_minus_db"] == pytest.approx(-8.20, abs=0.10)
 
     def test_boundary_unit_conversions(self):
-        raw = _base_dict()
-        raw["detection"]["dark_clearance_db"] = -17.75
-        cfg = ExperimentConfig.from_dict(raw)
+        cfg = ExperimentConfig.from_dict(_base_dict())
         assert cfg.omega() == pytest.approx(2.0 * math.pi * 1e6, rel=1e-12)
         assert cfg.phase_noise().theta_rms == pytest.approx(math.radians(4.3), rel=1e-12)
-        assert cfg.detection_chain().dark_clearance == pytest.approx(
-            from_db(-17.75), rel=1e-12
-        )
 
     def test_names_the_offending_field(self):
         # A config checks itself when built, however it is built: here as

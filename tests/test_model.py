@@ -304,8 +304,6 @@ class TestTypeInvariants:
             DetectionChain(zeta=0.0, eta=0.994, xi=0.979)
         with pytest.raises(ValueError):
             DetectionChain(zeta=1.0, eta=1.01, xi=0.979)
-        with pytest.raises(ValueError):
-            DetectionChain(zeta=1.0, eta=0.994, xi=0.979, dark_clearance=1.0)
 
     def test_variance_positivity(self):
         with pytest.raises(ValueError):
@@ -321,8 +319,7 @@ class TestTypeInvariants:
 # signature order, its defaults, and a valid change to one field.
 RECORDS = [
     (OpoCavity, dict(T=0.15, L=0.011, round_trip_length=0.214), {}, {"L": 0.02}),
-    (DetectionChain, dict(zeta=1.0, eta=0.994, xi=0.979), {"dark_clearance": None},
-     {"dark_clearance": 0.0168}),
+    (DetectionChain, dict(zeta=1.0, eta=0.994, xi=0.979), {}, {"xi": 0.95}),
     (PumpOperatingPoint, dict(x=BENCH_X), {}, {"x": 0.5}),
     (QuadratureVariances, dict(r_plus=21.2, r_minus=0.15), {}, {"r_minus": 0.2}),
     (PhaseNoiseModel, dict(theta_rms=0.075), {}, {"theta_rms": 0.0}),
