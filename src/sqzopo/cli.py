@@ -158,7 +158,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
     except InfeasibleCorrectionError:
         raise  # exit 3, from main
     except ValueError as err:
-        raise ConfigError("--level-db/--clearance-db", str(err)) from err
+        raise ConfigError("--level-db", str(err)) from err
     print(f"{corrected:.6f}")
     return EXIT_OK
 

@@ -173,21 +173,6 @@ class ExperimentConfig(Record):
             T=self.cavity_T, L=self.cavity_L, round_trip_length=self.round_trip_m
         )
 
-    def detection_chain(self) -> DetectionChain:
-        return DetectionChain(zeta=self.zeta, eta=self.eta, xi=self.xi)
-
-    def pump_operating_point(self) -> PumpOperatingPoint:
-        """The pump reading, converted by the constructor its mode names."""
-        if self.pump_mode == "gain":
-            return PumpOperatingPoint.from_gain(self.pump_value)
-        if self.pump_mode == "x":
-            return PumpOperatingPoint(self.pump_value)
-        if self.threshold_mW is None:
-            raise ConfigError("pump.threshold_mW", "required when pump.mode is 'power'")
-        return PumpOperatingPoint.from_power(
-            self.pump_value * 1e-3, self.threshold_mW * 1e-3
-        )
-
     def phase_noise(self) -> PhaseNoiseModel:
         return PhaseNoiseModel.from_degrees(self.theta_rms_deg)
 
@@ -197,11 +182,20 @@ class ExperimentConfig(Record):
 
     def derived(self) -> dict[str, float]:
         """All scalar quantities the forward model needs, plus the predicted
-        variances, as one flat mapping; a violation names its config field."""
+        variances, as one flat mapping.  Builds the cavity, the detection chain
+        and the pump point itself; a violation names its config field."""
         cavity = _named("cavity", self.opo_cavity)
-        alpha = detection_efficiency(_named("detection", self.detection_chain))
+        alpha = detection_efficiency(_named("detection", DetectionChain, self.zeta, self.eta, self.xi))
         rho = escape_efficiency(cavity)
-        x = _named("pump.value", self.pump_operating_point).x
+        if self.pump_mode == "gain":
+            x = _named("pump.value", PumpOperatingPoint.from_gain, self.pump_value).x
+        elif self.pump_mode == "x":
+            x = _named("pump.value", PumpOperatingPoint, self.pump_value).x
+        elif self.threshold_mW is None:
+            raise ConfigError("pump.threshold_mW", "required when pump.mode is 'power'")
+        else:
+            x = _named("pump.value", PumpOperatingPoint.from_power,
+                       self.pump_value * 1e-3, self.threshold_mW * 1e-3).x
         if self.frequency_hz < 0:  # finite: the constructor parsed it
             raise ConfigError("measurement.frequency_hz", "must be >= 0")
         omega_ratio = detuning(self.omega(), cavity)

@@ -12,7 +12,13 @@ import pytest
 
 from sqzopo.cli import packaged_config_path
 from sqzopo.config import ConfigError, ExperimentConfig
-from sqzopo.model import cavity_decay_rate, detection_efficiency, escape_efficiency
+from sqzopo.model import (
+    DetectionChain,
+    PumpOperatingPoint,
+    cavity_decay_rate,
+    detection_efficiency,
+    escape_efficiency,
+)
 
 
 def _base_dict() -> dict:
@@ -159,12 +165,28 @@ class TestValidationPaths:
         assert exc.value.path == "measurement.frequency_hz"
 
 
+# The paper's 250 mW read in each pump mode; the threshold keeps G = 8.83.
+_PUMPS = {
+    "gain": ({"value": 8.83}, PumpOperatingPoint.from_gain(8.83)),
+    "x": ({"value": 1 - 1 / math.sqrt(8.83)}, PumpOperatingPoint(1 - 1 / math.sqrt(8.83))),
+    "power": (
+        {"value": 250.0, "threshold_mW": 567.9279350470405},
+        PumpOperatingPoint.from_power(250.0 * 1e-3, 567.9279350470405 * 1e-3),
+    ),
+}
+
+
 class TestDerived:
-    def test_matches_model_functions(self):
-        cfg = ExperimentConfig.from_dict(_base_dict())
+    @pytest.mark.parametrize("mode", _PUMPS)
+    def test_matches_model_functions(self, mode):
+        raw = _base_dict()
+        fields, point = _PUMPS[mode]
+        raw["pump"] = {"mode": mode, **fields}
+        cfg = ExperimentConfig.from_dict(raw)
         derived = cfg.derived()
+        assert derived["x"] == point.x
         assert derived["rho"] == escape_efficiency(cfg.opo_cavity())
-        assert derived["alpha"] == detection_efficiency(cfg.detection_chain())
+        assert derived["alpha"] == detection_efficiency(DetectionChain(cfg.zeta, cfg.eta, cfg.xi))
         assert derived["gamma_rad_s"] == cavity_decay_rate(cfg.opo_cavity())
         assert derived["gain"] == pytest.approx(8.83, rel=1e-12)
         assert derived["r_plus_db"] == pytest.approx(13.27, abs=0.05)
