@@ -115,12 +115,6 @@ def dark_noise_uncorrect(level_db: float, clearance: float) -> float:
     return to_db(from_db(level_db) * (1.0 - clearance) + clearance)
 
 
-def _below_floor(target_minus: float, r_minus: float) -> bool:
-    # Tolerate one dB<->linear roundtrip of rounding before declaring a
-    # measurement unexplainable by any jitter.
-    return target_minus < r_minus * (1.0 - 1e-12)
-
-
 def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
     """Minimize ``f`` on [lo, hi] by golden-section search; the endpoints
     are candidates too.  Returns (minimum, argmin)."""
@@ -148,20 +142,15 @@ def fit_theta(
     """Recover the rms phase jitter explaining a measured squeezing level.
 
     Inverts the jitter mix of the squeezed quadrature in closed form (the
-    anti-squeezed one is nearly insensitive to jitter); a level needing
-    more than pi/4 of jitter is clamped to pi/4.
-
-    A measured level below the jitter-free floor ``predicted.r_minus`` cannot
-    be explained by any jitter; the fit then ends ``infeasible`` at theta_rms = 0.
+    anti-squeezed one is nearly insensitive to jitter) and takes the branch
+    from the inverse, :func:`~sqzopo.phase_noise._jitter_for`: a level
+    needing more than pi/4 of jitter ends ``clamped`` at pi/4, and a level
+    below the jitter-free floor ``predicted.r_minus``, which no jitter
+    explains, ends ``infeasible`` at theta_rms = 0.
     Both records were checked when built; the float forms run unchecked.
     """
     r_plus, r_minus = predicted.r_plus, predicted.r_minus
-    target = from_db(measured.squeezing_db)
-    if _below_floor(target, r_minus):
-        theta, branch = 0.0, "infeasible"
-    else:
-        theta = _jitter_for(r_plus, r_minus, target, use_approx)
-        theta, branch = (THETA_MAX, "clamped") if theta is None else (theta, "exact")
+    theta, branch = _jitter_for(r_plus, r_minus, from_db(measured.squeezing_db), use_approx)
     degraded_minus = _mixed(r_plus, r_minus, _lam(theta, use_approx))[1]
     residual = (10.0 * math.log10(degraded_minus) - measured.squeezing_db) ** 2
     return FitResult(theta_rms=theta, residual=residual, branch=branch)
@@ -179,11 +168,11 @@ def fit_joint(
 
     Jitter conserves R_+ + R_- = 2 + c, so u = x^2 is the smaller root of
     c u^2 + (2c (k - 2) - 16 alpha rho) u + c k^2, k = 1 + 4 Omega^2 (the
-    roots multiply to k^2 >= 1); theta_rms then follows as in :func:`fit_theta`.
-
-    When no point of [0, PUMP_X_MAX] x [0, pi/4] reproduces the pair, the
-    dB least-squares optimum lies on an edge of that box (x = 0 is a point
-    of the theta_rms = 0 edge); the best of a golden-section search along
+    roots multiply to k^2 >= 1); theta_rms and the branch then follow from the
+    inverse :func:`fit_theta` uses.  When that branch is not ``exact``, or no x in
+    [0, PUMP_X_MAX] solves, no point of [0, PUMP_X_MAX] x [0, pi/4] reproduces
+    the pair: the dB least-squares optimum lies on an edge of that box (x = 0 is
+    a point of the theta_rms = 0 edge); the best of a golden-section search along
     each remaining edge is returned, the first listed on a tie.  That optimum is
     the fit, so its status stays ``"ok"``; its branch names the edge.
     alpha, rho and detuning are checked once; both branches then run
@@ -208,10 +197,10 @@ def fit_joint(
         x = math.sqrt(2.0 * c * k * k / (math.sqrt(disc) - b))
         if x <= PUMP_X_MAX:
             r_plus, r_minus = _variances(alpha, rho, x, detuning)
-            theta = _jitter_for(r_plus, r_minus, target_minus, use_approx)
-            if theta is not None and not _below_floor(target_minus, r_minus):
+            theta, branch = _jitter_for(r_plus, r_minus, target_minus, use_approx)
+            if branch == "exact":
                 residual = resid(x, _lam(theta, use_approx))
-                return FitResult(theta_rms=theta, residual=residual, branch="exact", x=x)
+                return FitResult(theta_rms=theta, residual=residual, branch=branch, x=x)
 
     r0, x0 = _golden_min(lambda x: resid(x, 1.0), 0.0, PUMP_X_MAX)  # theta_rms = 0
     lam_max = _lam(THETA_MAX, use_approx)

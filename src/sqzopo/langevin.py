@@ -177,9 +177,9 @@ def simulate_output_spectrum(
     evaluated at each requested frequency by linear interpolation between
     the two nearest bins (requests are clamped to the resolved interior
     band, excluding the DC and Nyquist bins).  Means and standard errors
-    are taken across segments in fixed segment order.  A run whose working
-    set exceeds the machine's physical memory raises ValueError before
-    anything is allocated.
+    are taken across segments in fixed segment order.  Where os.sysconf gives
+    the physical memory (Unix), a run whose working set exceeds it raises
+    ValueError before anything is allocated.
     """
     omegas = [float(om) for om in omega_list]
     if not omegas:
@@ -205,7 +205,8 @@ def simulate_output_spectrum(
     workers = min(len(cpus), cfg.segments)
     per_worker = 2 * n_steps + 8 * cols * len(omegas)
     needed = 16 * (workers * per_worker + 4 * cols * len(omegas) + cfg.segments * len(omegas))
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    sizable = hasattr(os, "sysconf") and {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= set(os.sysconf_names)
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if sizable else math.inf
     if needed > available:
         raise ValueError(f"{cfg.segments} segments of {n_steps} steps need {needed} bytes "
                          f"of working memory; this machine has {available} bytes")

@@ -17,8 +17,9 @@ Three mutually checking evaluations are provided:
 
 All three conserve R'_plus + R'_minus = R_plus + R_minus: jitter only
 rebalances noise between the quadratures, it never adds or removes any.
-So the mix inverts in closed form: :func:`_jitter_for` gives the width that
-takes a pair to a measured squeezed variance, for both fits in calibration.
+So the mix inverts in closed form: :func:`_jitter_for` gives the width that takes a
+pair to a measured squeezed variance and the branch (exact, clamped at pi/4 or
+infeasible below the jitter-free floor), one rule for both fits in calibration.
 """
 
 from __future__ import annotations
@@ -69,19 +70,24 @@ def _lam(theta_rms: float, use_approx: bool) -> float:
     return math.cos(2.0 * theta_rms) if use_approx else math.exp(-2.0 * theta_rms * theta_rms)
 
 
-def _jitter_for(r_plus: float, r_minus: float, target: float, use_approx: bool) -> float | None:
+def _jitter_for(r_plus: float, r_minus: float, target: float, use_approx: bool) -> tuple[float, str]:
     """Inverse of the mix: the jitter width that takes the pair to the squeezed variance
-    ``target`` (small-angle form if ``use_approx``); None above pi/4 by more than rounding."""
+    ``target`` (small-angle form if ``use_approx``) and its branch: ``exact``, ``clamped`` at
+    pi/4, or ``infeasible`` at 0 below the floor ``r_minus``, each 1e-12 (relative) past it."""
+    if target < r_minus * (1.0 - 1e-12):
+        return 0.0, "infeasible"
     spread = r_plus - r_minus
     # R'_- = (R_+ + R_-)/2 - lam (R_+ - R_-)/2; no jitter changes an unsqueezed pair.
     lam = (r_plus + r_minus - 2.0 * target) / spread if spread > 0.0 else 1.0
     if lam >= 1.0:
-        return 0.0
+        return 0.0, "exact"
     if use_approx:
         theta = 0.5 * math.acos(max(lam, -1.0))
     else:
         theta = math.sqrt(-0.5 * math.log(lam)) if lam > 0.0 else math.inf
-    return min(theta, THETA_MAX) if theta <= THETA_MAX * (1.0 + 1e-12) else None
+    if theta > THETA_MAX * (1.0 + 1e-12):
+        return THETA_MAX, "clamped"
+    return min(theta, THETA_MAX), "exact"
 
 
 def degrade_exact(R: QuadratureVariances, model: PhaseNoiseModel) -> QuadratureVariances:

@@ -494,6 +494,19 @@ class TestOracle:
         assert code == EXIT_ORACLE_MISMATCH
         assert "mismatch" in err
 
+    @pytest.mark.parametrize(
+        "unix_only",
+        [lambda mp: mp.delattr(os, "sysconf"), lambda mp: mp.setattr(os, "sysconf_names", {})],
+        ids=["no-sysconf", "no-sysconf-names"],
+    )
+    def test_runs_without_os_sysconf(self, capsys, monkeypatch, unix_only):
+        # As on Windows: the physical-memory check is skipped, not the run.
+        argv = ("oracle", CONFIG, "--seed", "3", "--segments", "8")
+        expected = _run(capsys, *argv)
+        assert expected[0] == EXIT_OK
+        unix_only(monkeypatch)
+        assert _run(capsys, *argv) == expected
+
     def test_run_larger_than_memory_exits_2(self, capsys):
         # about 5e9 steps per segment; rejected before anything is allocated
         code, out, err = _run(capsys, "oracle", CONFIG, "--duration", "1")
@@ -809,6 +822,18 @@ class TestExactOutput:
         path = tmp_path / "sweep.csv"
         assert _run(capsys, *argv, "--out", str(path)) == (EXIT_OK, "", "")
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [PINNED_OUTPUT["sweep-anchor"][0], ("oracle", CONFIG, "--seed", "3", "--segments", "8")],
+        ids=["sweep", "oracle"],
+    )
+    def test_out_dash_is_stdout(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        expected = _run(capsys, *argv)
+        assert expected[0] == EXIT_OK
+        assert _run(capsys, *argv, "--out", "-") == expected
+        assert list(tmp_path.iterdir()) == []  # no file named "-"
 
     def test_oracle_row_matches_library(self, capsys):
         code, out, _ = _run(capsys, "oracle", CONFIG, "--seed", "3", "--segments", "8")

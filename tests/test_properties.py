@@ -1,6 +1,7 @@
 """Property-based round trips of the inverse problems: synthesize a reading
 with the forward model and jitter mix, invert it, and get the inputs back;
-any other finite reading fits with a finite residual or is rejected.
+both fits read the same jitter and branch from it; any other finite reading
+fits with a finite residual or is rejected.
 The configuration boundary gets the same treatment: a parsed configuration
 serializes back to itself, and any float in any field or float flag gives a
 finite report or a named rejection, never a traceback; a config built from
@@ -86,6 +87,22 @@ def test_fit_theta_recovers_jitter(use_approx, point):
     fit = fit_theta(measured, predicted, use_approx=use_approx)
     assert (fit.status, fit.branch) == ("ok", "exact")
     assert fit.theta_rms == pytest.approx(theta, abs=1e-6)
+
+
+@pytest.mark.parametrize("use_approx", [False, True])
+@ROUND_TRIP
+@given(point=operating_point)
+@example(point=(0.75, 0.75, 0.5, 0.25, math.pi / 4))
+def test_both_fits_share_the_jitter_inverse(use_approx, point):
+    # Where the joint fit solves at x, fit_theta on the pair predicted at x
+    # must end the same way: one feasibility rule serves both fits.
+    alpha, rho, omega, x, theta = point
+    _, measured = _reading(alpha, rho, omega, x, theta, use_approx)
+    joint = fit_joint(measured, alpha, rho, omega, use_approx=use_approx)
+    assume(joint.branch == "exact")
+    predicted = forward_variances(alpha, rho, joint.x, omega)
+    single = fit_theta(measured, predicted, use_approx=use_approx)
+    assert (single.theta_rms, single.branch) == (joint.theta_rms, joint.branch)
 
 
 @pytest.mark.parametrize("use_approx", [False, True])
