@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, _clearance, _named
 from .model import (
-    PUMP_X_MAX,
     InfeasibleCorrectionError,
     PumpOperatingPoint,
     QuadratureVariances,
@@ -129,21 +128,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--steps", "must be >= 1")
     if not 0 <= args.pmin <= args.pmax:
         raise ConfigError("--pmin/--pmax", "need 0 <= pmin <= pmax")
-    if math.sqrt(args.pmax / threshold_mw) > PUMP_X_MAX:
-        raise ConfigError(
-            "--pmax",
-            f"{args.pmax} mW is not far enough below the {threshold_mw:.6g} mW threshold",
-        )
+
+    def power_mw(i: int) -> float:  # never decreases with i: rounding can lift the last above pmax
+        return args.pmin + (args.pmax - args.pmin) * i / max(args.steps - 1, 1)
+
+    _named("--pmax", PumpOperatingPoint.from_power,
+           max(args.pmax, power_mw(args.steps - 1)), threshold_mw)
     theta_deg = cfg.theta_rms_deg if args.theta_deg is None else args.theta_deg
     jitter = _named("--theta-deg", PhaseNoiseModel.from_degrees, theta_deg)
 
     def rows():
         yield SWEEP_HEADER
-        for i in range(args.steps):
-            power_mw = args.pmin + (args.pmax - args.pmin) * i / max(args.steps - 1, 1)
-            x = math.sqrt(power_mw / threshold_mw)
+        for power in map(power_mw, range(args.steps)):
+            x = PumpOperatingPoint.from_power(power, threshold_mw).x
             r = forward_variances(derived["alpha"], derived["rho"], x, derived["detuning"])
-            yield _levels(power_mw, x, r, jitter)
+            yield _levels(power, x, r, jitter)
 
     _write_csv(rows(), args.out)
     return EXIT_OK

@@ -1,8 +1,8 @@
 """JSON experiment description: parsing, validation and serialization.
 
 Boundary units follow lab convention -- angles in degrees, powers in mW,
-dark-noise clearance in dB -- and are converted to radians, watts and a
-linear ratio where they are used.  A config parses and derives itself
+dark-noise clearance in dB.  Angles and clearance become radians and a linear
+ratio where used; powers stay in mW.  A config parses and derives itself
 when built.  Serialization reproduces the parsed tree field-for-field.
 """
 
@@ -125,7 +125,7 @@ class ExperimentConfig(Record):
             raise ConfigError("pump.mode", f"must be one of {PUMP_MODES}, got {pump_mode!r}")
         if self.dark_clearance_db is not None:
             _clearance(self.dark_clearance_db, "detection.dark_clearance_db")
-        if self.threshold_mW is not None and not 0.0 < self.threshold_mW * 1e-3 < math.inf:
+        if self.threshold_mW is not None and not self.threshold_mW > 0.0:
             raise ConfigError("pump.threshold_mW", f"must be > 0 mW, got {self.threshold_mW}")
         self.derived()
         _named("noise.theta_rms_deg", self.phase_noise)
@@ -195,7 +195,7 @@ class ExperimentConfig(Record):
             raise ConfigError("pump.threshold_mW", "required when pump.mode is 'power'")
         else:
             x = _named("pump.value", PumpOperatingPoint.from_power,
-                       self.pump_value * 1e-3, self.threshold_mW * 1e-3).x
+                       self.pump_value, self.threshold_mW).x
         if self.frequency_hz < 0:  # finite: the constructor parsed it
             raise ConfigError("measurement.frequency_hz", "must be >= 0")
         omega_ratio = detuning(self.omega(), cavity)

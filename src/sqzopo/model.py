@@ -156,15 +156,13 @@ class PumpOperatingPoint(Record):
 
     @classmethod
     def from_power(cls, power: float, threshold: float) -> PumpOperatingPoint:
-        """Power and threshold in watts."""
+        """Power and threshold in mW, as a config gives them; x reads only their ratio."""
         if not 0.0 < threshold < math.inf:
-            raise ValueError(f"threshold power must be finite and > 0 W, got {threshold}")
+            raise ValueError(f"threshold power must be finite and > 0 mW, got {threshold}")
         if not power >= 0.0:
-            raise ValueError(f"pump power must be >= 0 W, got {power}")
+            raise ValueError(f"pump power must be >= 0 mW, got {power}")
         if power >= threshold:
-            raise ValueError(
-                f"pump power {power} W is at or above threshold {threshold} W"
-            )
+            raise ValueError(f"pump power {power} mW is at or above threshold {threshold} mW")
         return cls(math.sqrt(power / threshold))
 
 

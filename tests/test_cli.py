@@ -137,6 +137,14 @@ class TestPredict:
             assert (code, out) == (EXIT_VALIDATION, ""), mode
             assert err == "error: pump.threshold_mW: must be > 0 mW, got -5.0\n", mode
 
+    def test_power_above_threshold_is_reported_in_mw(self, capsys, tmp_path):
+        pump = {"mode": "power", "value": 600, "threshold_mW": 567.93}
+        path = _write_config(tmp_path, lambda raw: raw.update(pump=pump))
+        assert _run(capsys, "predict", path) == (
+            EXIT_VALIDATION, "",
+            "error: pump.value: pump power 600.0 mW is at or above threshold 567.93 mW\n",
+        )
+
     @pytest.mark.parametrize(
         "cavity",
         [{"T": 1e-300, "L": 0.0, "round_trip_m": 1e300}, {"round_trip_m": 1e-308},
@@ -242,6 +250,23 @@ class TestSweep:
         )
         assert code == EXIT_VALIDATION
         assert "threshold" in err
+
+    @pytest.mark.parametrize("span", [
+        # (s - 1) / (s - 1) of the span puts the last row one ulp above
+        # --pmax, where x passes PUMP_X_MAX though x at --pmax does not
+        ("68.7", "567.92999886414", "37"),
+        # the only row is --pmin, which is valid; --pmax is checked all the same
+        ("50", "600", "1"),
+    ])
+    def test_pmax_is_checked_before_any_row(self, capsys, tmp_path, span):
+        pmin, pmax, steps = span
+        argv = ["sweep", CONFIG_POWER, "--pmin", pmin, "--pmax", pmax, "--steps", steps]
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: --pmax: ") and err.count("\n") == 1, err
+        out_path = tmp_path / "sweep.csv"
+        assert _run(capsys, *argv, "--out", str(out_path))[0] == EXIT_VALIDATION
+        assert not out_path.exists()
 
     def test_missing_threshold_exits_2(self, capsys):
         code, _, err = _run(capsys, "sweep", CONFIG, "--pmin", "50", "--pmax", "450")

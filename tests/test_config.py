@@ -171,7 +171,7 @@ _PUMPS = {
     "x": ({"value": 1 - 1 / math.sqrt(8.83)}, PumpOperatingPoint(1 - 1 / math.sqrt(8.83))),
     "power": (
         {"value": 250.0, "threshold_mW": 567.9279350470405},
-        PumpOperatingPoint.from_power(250.0 * 1e-3, 567.9279350470405 * 1e-3),
+        PumpOperatingPoint.from_power(250.0, 567.9279350470405),
     ),
 }
 

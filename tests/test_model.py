@@ -143,9 +143,9 @@ class TestPumpParameter:
 
     def test_power_reading_rejected_in_the_library(self):
         # a config never gets here: its number and threshold checks come first
-        with pytest.raises(ValueError, match="threshold power must be finite and > 0 W, got inf"):
+        with pytest.raises(ValueError, match="threshold power must be finite and > 0 mW, got inf"):
             PumpOperatingPoint.from_power(0.1, math.inf)
-        with pytest.raises(ValueError, match="pump power must be >= 0 W, got -0.1"):
+        with pytest.raises(ValueError, match="pump power must be >= 0 mW, got -0.1"):
             PumpOperatingPoint.from_power(-0.1, 1.0)
 
     def test_x_out_of_range_rejected(self):

@@ -6,7 +6,8 @@ The configuration boundary gets the same treatment: a parsed configuration
 serializes back to itself, and any float in any field or float flag gives a
 finite report or a named rejection, never a traceback; a config built from
 any field values derives finite values or names the field it rejects.
-A one-step sweep at a configuration's own pump power reproduces predict.
+A one-step sweep at a configuration's own pump power reproduces predict,
+and both read x from a pump power by the one mapping.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from sqzopo.calibration import (
     fit_joint,
     fit_theta,
 )
-from sqzopo.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main, packaged_config_path
+from sqzopo.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, _fmt, main, packaged_config_path
 from sqzopo.config import _FIELDS, _OPTIONAL, PUMP_MODES, ConfigError, ExperimentConfig
-from sqzopo.model import QuadratureVariances, forward_variances
+from sqzopo.model import PumpOperatingPoint, QuadratureVariances, forward_variances
 from sqzopo.phase_noise import PhaseNoiseModel, degrade_approx, degrade_exact
 
 # Fixed example sequence, so a run is reproducible and CI cannot flake.
@@ -368,3 +369,23 @@ def test_one_step_sweep_matches_predict(tree):
         ("Rp_corr_dB", "r_plus_corrected_db"), ("Rm_corr_dB", "r_minus_corrected_db"),
     ):
         assert row[column] == pytest.approx(report[key], rel=1e-9), column
+
+
+# A threshold in mW and a pump power below it.
+pump_power = st.floats(1.0, 2000.0).flatmap(
+    lambda threshold: st.tuples(st.floats(0.0, 0.99 * threshold), st.just(threshold))
+)
+
+
+@ROUND_TRIP
+@given(pump=pump_power)
+def test_config_and_sweep_map_a_pump_power_to_one_x(pump):
+    # Bit for bit: the config, the library and the formula give one x, and a
+    # one-step sweep at that power prints it.
+    power, threshold = pump
+    tree = POWER_TREE | {"pump": {"mode": "power", "value": power, "threshold_mW": threshold}}
+    x = ExperimentConfig.from_dict(tree).derived()["x"]
+    assert x == PumpOperatingPoint.from_power(power, threshold).x == math.sqrt(power / threshold)
+    code, sweep = _cli(tree, "sweep", "--pmin", repr(power), "--pmax", repr(power), "--steps", "1")
+    assert code == EXIT_OK
+    assert sweep.splitlines()[1].split(",")[1] == _fmt(x)
