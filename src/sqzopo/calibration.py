@@ -5,8 +5,8 @@ measured squeezing / anti-squeezing pair.
 Jitter mixes the quadratures linearly and conserves R_+ + R_-, so both
 fits invert the model in closed form.  Residuals are always formed in dB
 so the squeezed (~0.15 linear) and anti-squeezed (~20 linear) readings
-carry comparable weight.  Each input is checked once, as it enters; the
-fits then run unchecked on the float forms of model and phase_noise.
+carry comparable weight.  Each input is checked by itself as it enters;
+the fits then run unchecked on the float forms of model and phase_noise.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 
 from .model import (
-    PUMP_X_MAX, InfeasibleCorrectionError, QuadratureVariances, Record, _check_inputs,
-    _check_pump_parameter, _variances, from_db, gain_from_x, to_db,
+    PUMP_X_MAX, InfeasibleCorrectionError, QuadratureVariances, Record, _check_detuning,
+    _check_efficiency, _check_pump_parameter, _variances, from_db, gain_from_x, to_db,
 )
 from .phase_noise import THETA_MAX, _jitter_for, _lam, _mixed
 
@@ -175,15 +175,16 @@ def fit_joint(
     a point of the theta_rms = 0 edge); the best of a golden-section search along
     each remaining edge is returned, the first listed on a tie.  That optimum is
     the fit, so its status stays ``"ok"``; its branch names the edge.
-    alpha, rho and detuning are checked once; both branches then run
-    unchecked on the float forms, which stay positive for x <= PUMP_X_MAX.
+    alpha, rho and detuning are checked once, in forward_variances' order; the
+    branches then run unchecked on the float forms, positive for x <= PUMP_X_MAX.
     """
     if measured.anti_squeezing_db is None:
         raise ValueError("the joint fit needs an anti-squeezing level")
     sq_db, asq_db = measured.squeezing_db, measured.anti_squeezing_db
     target_minus = from_db(sq_db)
     c = target_minus + from_db(asq_db) - 2.0
-    _check_inputs(alpha, rho, 0.0, detuning)  # checks alpha, rho and detuning, once
+    alpha, rho = _check_efficiency("alpha", alpha), _check_efficiency("rho", rho)
+    detuning = _check_detuning(detuning)
 
     def resid(x: float, lam: float) -> float:
         r_plus, r_minus = _mixed(*_variances(alpha, rho, x, detuning), lam)

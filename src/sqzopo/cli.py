@@ -200,7 +200,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from .langevin import LangevinConfig, simulate_output_spectrum
 
     cfg = ExperimentConfig.from_file(args.config)
-    derived = cfg.derived()
+    derived, jitter = cfg.derived(), cfg.phase_noise()  # before numpy loads: warns once
     cavity = cfg.opo_cavity()
     x = derived["x"]
     gamma = derived["gamma_rad_s"]
@@ -219,7 +219,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     pump_mw = cfg.pump_value if cfg.pump_mode == "power" else math.nan
     r = QuadratureVariances(pt.r_plus, pt.r_minus)
     row = (
-        f"{_levels(pump_mw, x, r, cfg.phase_noise())},"
+        f"{_levels(pump_mw, x, r, jitter)},"
         f"{_fmt(pt.stderr_plus)},{_fmt(pt.stderr_minus)},{pt.segments},{pt.seed}"
     )
     _write_csv([ORACLE_HEADER, row], args.out)

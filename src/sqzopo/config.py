@@ -71,7 +71,7 @@ def _require(section: dict, section_name: str, key: str) -> object:
 def _read_json(path: str | Path) -> object:
     """Parse a JSON file; a file that cannot be decoded or parsed is named."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as err:  # bad syntax or bytes, or nesting too deep
         raise ConfigError(str(path), f"not valid JSON: {err}") from err
 

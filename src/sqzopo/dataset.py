@@ -18,7 +18,8 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, _named, _number, _read_json, _require
-from .model import PumpOperatingPoint, _check_inputs, forward_variances, from_db
+from .model import (PumpOperatingPoint, _check_detuning, _check_efficiency,
+                    forward_variances, from_db)
 from .phase_noise import PhaseNoiseModel, degrade_exact
 
 CHECK_TOL_EFFICIENCY = 0.001
@@ -100,10 +101,9 @@ def reproduce(dataset: dict, cfg: ExperimentConfig) -> list[tuple[str, bool, str
         # A record the domain object rejects is named like a malformed one.
         return _named(f"crystal_1.{name}", make, value)
 
-    # forward_variances checks these three together; check each as it is read.
-    rho = read("rho", make=lambda rho: _check_inputs(1.0, rho, 0.0, 0.0) or rho)
-    alpha = read("alpha", make=lambda alpha: _check_inputs(alpha, 1.0, 0.0, 0.0) or alpha)
-    omega_ratio = read("detuning", make=lambda om: _check_inputs(1.0, 1.0, 0.0, om) or om)
+    rho = read("rho", make=lambda rho: _check_efficiency("rho", rho))
+    alpha = read("alpha", make=lambda alpha: _check_efficiency("alpha", alpha))
+    omega_ratio = read("detuning", make=_check_detuning)
     check("escape efficiency", derived["rho"], rho, CHECK_TOL_EFFICIENCY)
     check("detection efficiency", derived["alpha"], alpha, CHECK_TOL_EFFICIENCY)
     check("detuning", derived["detuning"], omega_ratio, CHECK_TOL_EFFICIENCY)

@@ -26,16 +26,24 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 PUMP_X_MAX = 1.0 - 1e-9
 
 
-def _check_pump_parameter(x: float) -> None:
+def _check_efficiency(name: str, value: float) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    return value
+
+
+def _check_pump_parameter(x: float) -> float:
     if not 0.0 <= x <= PUMP_X_MAX:
         raise ValueError(f"pump parameter x must be in [0, {PUMP_X_MAX}], got {x}")
+    return x
 
 
-def _check_detuning(detuning: float) -> None:
+def _check_detuning(detuning: float) -> float:
     # A finite 4 Omega^2 keeps both denominators of the forward model finite,
     # so R+- is never inf/inf.
     if not (detuning >= 0.0 and 4.0 * detuning * detuning < math.inf):
         raise ValueError(f"detuning must be >= 0 with 4 detuning^2 finite, got {detuning}")
+    return detuning
 
 
 def to_db(linear: float) -> float:
@@ -218,8 +226,7 @@ def pump_parameter(op: PumpOperatingPoint) -> float:
 
 def gain_from_x(x: float) -> float:
     """Classical parametric amplification gain G = 1/(1-x)^2."""
-    _check_pump_parameter(x)
-    return 1.0 / (1.0 - x) ** 2
+    return 1.0 / (1.0 - _check_pump_parameter(x)) ** 2
 
 
 def forward_variances(
@@ -229,20 +236,12 @@ def forward_variances(
     escape efficiency rho, pump parameter x, and detuning Omega.
 
     The anti-squeezed (+) variance carries (1 - x)^2 in its denominator,
-    so it diverges at threshold on resonance.  The inputs are checked once,
-    here; :func:`_variances` is the float form, which runs unchecked.
+    so it diverges at threshold on resonance.  Each input is checked by itself,
+    in signature order, on its way to :func:`_variances`, which runs unchecked.
     """
-    _check_inputs(alpha, rho, x, detuning)
+    alpha, rho = _check_efficiency("alpha", alpha), _check_efficiency("rho", rho)
+    x, detuning = _check_pump_parameter(x), _check_detuning(detuning)
     return QuadratureVariances(*_variances(alpha, rho, x, detuning))
-
-
-def _check_inputs(alpha: float, rho: float, x: float, detuning: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
-    _check_pump_parameter(x)
-    _check_detuning(detuning)
 
 
 def _variances(alpha: float, rho: float, x: float, detuning: float) -> tuple[float, float]:

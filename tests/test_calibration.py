@@ -472,7 +472,10 @@ class TestFitJoint:
         "alpha, rho, detuning",
         [(a, 0.932, 0.028) for a in (math.nan, math.inf, -math.inf, -0.1, 1.5)]
         + [(0.953, r, 0.028) for r in (math.nan, math.inf, -math.inf, -0.1, 1.5)]
-        + [(0.953, 0.932, om) for om in (math.nan, -0.1, math.inf)],
+        + [(0.953, 0.932, om) for om in (math.nan, -0.1, math.inf)]
+        # Two bad inputs: both checks report the same one first.
+        + [(1.5, 0.932, -0.1), (math.nan, 0.932, math.inf), (0.953, -0.1, math.nan),
+           (0.953, math.inf, -0.1), (-0.1, 1.5, 0.028), (math.nan, -math.inf, 0.028)],
     )
     def test_bad_model_input_named_as_forward_variances_names_it(
         self, measured, alpha, rho, detuning

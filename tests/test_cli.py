@@ -696,6 +696,23 @@ class TestBenchmarkDataset:
                 assert (code, out) == (EXIT_VALIDATION, ""), content
                 assert err.startswith(f"error: {path}: not valid JSON: ")
 
+    def test_utf8_dataset_is_read_under_an_ascii_locale(self, tmp_path):
+        # JSON is UTF-8 (RFC 8259, section 8.1), whatever the locale's encoding.
+        env = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        probe = _python(
+            "import codecs, locale; print(codecs.lookup(locale.getpreferredencoding(False)).name)",
+            env=env,
+        )
+        if probe.stdout.strip() != "ascii":
+            pytest.skip(f"LC_ALL=C selects {probe.stdout.strip()!r}, not ASCII")
+        raw = load_dataset()
+        raw["crystals"][0]["records"]["rho"]["anchor"] += " \u00b10.001"
+        path = tmp_path / "utf8.json"
+        path.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+        proc = _python("sqzopo", "paper", "--check", "--dataset", str(path), module=True, env=env)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), proc.stderr
+        assert proc.stdout == PINNED_OUTPUT["paper-check"][1]
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -888,11 +905,13 @@ class TestExactOutput:
 
 
 def _python(
-    code: str, *args: str, module: bool = False, flags: tuple[str, ...] = ()
+    code: str, *args: str, module: bool = False, flags: tuple[str, ...] = (),
+    env: dict[str, str] | None = None,
 ) -> subprocess.CompletedProcess:
     """Run ``code`` (or ``-m code``) in a fresh interpreter on the source
-    tree, with interpreter ``flags`` before it."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    tree, with interpreter ``flags`` before it and ``env`` added to its
+    environment."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))
     cmd = [sys.executable, *flags, "-m" if module else "-c", code, *args]
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
 
@@ -1075,3 +1094,20 @@ class TestNoTraceback:
         assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, ""), proc.stderr
         assert proc.stderr.startswith("error: theta_rms = ")
         assert "exceeds pi/4" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("predict", "--corrected"),
+         ("sweep", "--pmin", "50", "--pmax", "450", "--steps", "2", "--anchor", "250:8.83"),
+         ("fit", "--sq-db", "-5.80"),
+         ("oracle", "--segments", "8")],
+        ids=lambda argv: argv[0],
+    )
+    def test_wide_jitter_warns_once(self, tmp_path, argv):
+        # The config builds its jitter model as it loads.  The oracle's numpy
+        # import resets the registry that keeps that warning from repeating,
+        # so no jitter model may be built after it.
+        path = _write_config(tmp_path, lambda raw: raw["noise"].update(theta_rms_deg=50.0))
+        proc = _python("sqzopo", argv[0], path, *argv[1:], module=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr.count("exceeds pi/4") == 1, proc.stderr
