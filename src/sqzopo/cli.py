@@ -3,9 +3,10 @@ pump-power sweeps, Monte-Carlo oracle runs, and the embedded benchmark
 dataset, which :mod:`sqzopo.dataset` reads, lists and checks.
 
 Exit codes: 0 success, 1 a `paper --check` criterion failed, 2 validation
-error, 3 infeasible fit or correction, 4 oracle assertion failure.  Reports
-go to stdout, diagnostics to stderr.  A handler imports the modules only it
-uses, so each call loads just what its subcommand runs.
+error, 3 infeasible fit or correction, 4 oracle assertion failure.  Each
+handler returns its exit code and its report's lines, and :func:`main` writes
+them, to stdout or to ``--out``; diagnostics go to stderr.  A handler imports
+the modules only it uses, so each call loads just what its subcommand runs.
 """
 
 from __future__ import annotations
@@ -71,16 +72,20 @@ def _levels(pump_mw: float, x: float, r: QuadratureVariances, jitter: PhaseNoise
     )
 
 
-def _write_csv(lines: Iterable[str], out: str | None = None) -> None:
-    """Write each line as it comes, to stdout or to the file ``out``."""
-    if out is None or out == "-":
-        sys.stdout.writelines(line + "\n" for line in lines)
-    else:
-        with open(out, "w", newline="\n") as f:
+def _write(lines: Iterable[str], out: str | None = None) -> None:
+    """Write each line as it comes: to the file ``out`` in UTF-8, or to
+    stdout, where a character its encoding lacks becomes a backslash escape."""
+    if out is not None and out != "-":
+        with open(out, "w", encoding="utf-8", newline="\n") as f:
             f.writelines(line + "\n" for line in lines)
+        return
+    encoding = getattr(sys.stdout, "encoding", None)  # None on an io.StringIO
+    if encoding:
+        lines = (line.encode(encoding, "backslashreplace").decode(encoding) for line in lines)
+    sys.stdout.writelines(line + "\n" for line in lines)
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
+def _cmd_predict(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     cfg = ExperimentConfig.from_file(args.config)
     report = cfg.derived()
     if args.corrected or args.approx:
@@ -91,10 +96,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         report["r_plus_corrected_db"] = corrected.r_plus_db
         report["r_minus_corrected_db"] = corrected.r_minus_db
     if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        _write_csv([",".join(report), ",".join(_fmt(v) for v in report.values())])
-    return EXIT_OK
+        return EXIT_OK, [json.dumps(report, indent=2)]
+    return EXIT_OK, [",".join(report), ",".join(_fmt(v) for v in report.values())]
 
 
 def _sweep_threshold_mw(args: argparse.Namespace, cfg: ExperimentConfig) -> float:
@@ -113,14 +116,14 @@ def _sweep_threshold_mw(args: argparse.Namespace, cfg: ExperimentConfig) -> floa
         if not threshold_mw < math.inf:
             raise ConfigError("--anchor", f"threshold {power_mw:g} mW / {x:.3g}^2 is not finite")
         return threshold_mw
-    if cfg.pump_mode == "power":
+    if cfg.threshold_mW is not None:
         return cfg.threshold_mW
     raise ConfigError(
-        "pump", "sweep needs a threshold: use --anchor P_mW:G or a power-mode config"
+        "pump", "sweep needs a threshold: use --anchor P_mW:G or a config's threshold_mW"
     )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     cfg = ExperimentConfig.from_file(args.config)
     derived = cfg.derived()
     threshold_mw = _sweep_threshold_mw(args, cfg)
@@ -144,11 +147,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             r = forward_variances(derived["alpha"], derived["rho"], x, derived["detuning"])
             yield _levels(power, x, r, jitter)
 
-    _write_csv(rows(), args.out)
-    return EXIT_OK
+    return EXIT_OK, rows()
 
 
-def _cmd_correct(args: argparse.Namespace) -> int:
+def _cmd_correct(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from .calibration import dark_noise_correct
 
     clearance = _clearance(args.clearance_db, "--clearance-db")
@@ -158,11 +160,10 @@ def _cmd_correct(args: argparse.Namespace) -> int:
         raise  # exit 3, from main
     except ValueError as err:
         raise ConfigError("--level-db", str(err)) from err
-    print(f"{corrected:.6f}")
-    return EXIT_OK
+    return EXIT_OK, [f"{corrected:.6f}"]
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from .calibration import MeasuredLevels, fit_joint, fit_theta
 
     cfg = ExperimentConfig.from_file(args.config)
@@ -181,22 +182,17 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         fit = fit_theta(measured, predicted, use_approx=args.approx)
         x, gain = derived["x"], derived["gain"]
 
-    print(
-        json.dumps(
-            {
-                "theta_rms_deg": fit.theta_rms_deg,
-                "x": x,
-                "gain": gain,
-                "residual_db2": fit.residual,
-                "status": fit.status,
-            },
-            indent=2,
-        )
-    )
-    return EXIT_OK if fit.status == "ok" else EXIT_INFEASIBLE
+    report = {
+        "theta_rms_deg": fit.theta_rms_deg,
+        "x": x,
+        "gain": gain,
+        "residual_db2": fit.residual,
+        "status": fit.status,
+    }
+    return EXIT_OK if fit.status == "ok" else EXIT_INFEASIBLE, [json.dumps(report, indent=2)]
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from .langevin import LangevinConfig, simulate_output_spectrum
 
     cfg = ExperimentConfig.from_file(args.config)
@@ -222,7 +218,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         f"{_levels(pump_mw, x, r, jitter)},"
         f"{_fmt(pt.stderr_plus)},{_fmt(pt.stderr_minus)},{pt.segments},{pt.seed}"
     )
-    _write_csv([ORACLE_HEADER, row], args.out)
+    lines = [ORACLE_HEADER, row]
 
     if args.check:
         # The oracle models the cavity alone: perfect detection, one sideband.
@@ -237,23 +233,21 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 f"at 3 standard errors",
                 file=sys.stderr,
             )
-            return EXIT_ORACLE_MISMATCH
-    return EXIT_OK
+            return EXIT_ORACLE_MISMATCH, lines
+    return EXIT_OK, lines
 
 
-def _cmd_paper(args: argparse.Namespace) -> int:
+def _cmd_paper(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import dataset
 
     data = dataset.load_dataset(args.dataset)
     if args.list:
-        for line in dataset.listing(data):
-            print(line)
-        return EXIT_OK
+        return EXIT_OK, dataset.listing(data)
 
     results = dataset.reproduce(data, ExperimentConfig.from_file(packaged_config_path()))
-    for i, (name, ok, detail) in enumerate(results, start=1):
-        print(f"{'PASS' if ok else 'FAIL'}  [{i}] {name}: {detail}")
-    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_CHECK_FAILED
+    code = EXIT_OK if all(ok for _, ok, _ in results) else EXIT_CHECK_FAILED
+    return code, [f"{'PASS' if ok else 'FAIL'}  [{i}] {name}: {detail}"
+                  for i, (name, ok, detail) in enumerate(results, start=1)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code, lines = args.func(args)
+        _write(lines, getattr(args, "out", None))  # only sweep and oracle take --out
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -160,7 +160,10 @@ class PumpOperatingPoint(Record):
                 f"classical gain must be finite and >= 1, got {gain}; supply the "
                 "amplification gain (deamplification readings are not accepted)"
             )
-        return cls(1.0 - 1.0 / math.sqrt(gain))
+        x = 1.0 - 1.0 / math.sqrt(gain)
+        if x > PUMP_X_MAX:  # reported as the gain given, not the x it rounds to
+            raise ValueError(f"classical gain {gain} puts x = 1 - 1/sqrt(G) above {PUMP_X_MAX}")
+        return cls(x)
 
     @classmethod
     def from_power(cls, power: float, threshold: float) -> PumpOperatingPoint:

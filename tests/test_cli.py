@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -122,12 +124,17 @@ class TestPredict:
             assert err.startswith(f"error: {named}: ") and err.count("\n") == 1, err
 
     def test_gain_at_threshold_names_pump_value(self, capsys, tmp_path):
-        # x = 1.0 exactly, then x between PUMP_X_MAX and 1: all rejected at load
-        for mode, value in (("gain", 1e33), ("gain", 1e20), ("x", 0.9999999999)):
+        # x = 1.0 exactly, then x between PUMP_X_MAX and 1: all rejected at load,
+        # a gain by the value the config gives
+        for mode, value, message in (
+            ("gain", 1e200, "classical gain 1e+200 puts x = 1 - 1/sqrt(G) above 0.999999999"),
+            ("gain", 1e19, "classical gain 1e+19 puts x = 1 - 1/sqrt(G) above 0.999999999"),
+            ("x", 0.9999999999, "pump parameter x must be in [0, 0.999999999], got 0.9999999999"),
+        ):
             path = _write_config(tmp_path, lambda raw: raw.update(pump={"mode": mode, "value": value}))
-            code, out, err = _run(capsys, "predict", path)
-            assert (code, out) == (EXIT_VALIDATION, ""), value
-            assert err.startswith("error: pump.value: pump parameter x must be in [0, 0.999999999], ")
+            assert _run(capsys, "predict", path) == (
+                EXIT_VALIDATION, "", f"error: pump.value: {message}\n"
+            ), value
 
     def test_non_positive_threshold_names_it_in_every_mode(self, capsys, tmp_path):
         for mode, value in (("power", 250.0), ("gain", 8.83), ("x", 0.5)):
@@ -243,6 +250,20 @@ class TestSweep:
         assert code == EXIT_OK
         assert out.startswith(SWEEP_HEADER)
 
+    def test_gain_mode_config_supplies_its_threshold(self, capsys, tmp_path):
+        # threshold_mW is read in any pump mode; the power config differs
+        # from this one only in its pump point and clearance, which sweep ignores
+        path = _write_config(tmp_path, lambda raw: raw["pump"].update(threshold_mW=567.93))
+        argv = ("--pmin", "50", "--pmax", "450", "--steps", "9")
+        expected = _run(capsys, "sweep", CONFIG_POWER, *argv)
+        assert expected[0] == EXIT_OK
+        assert _run(capsys, "sweep", path, *argv) == expected
+        # an --anchor still takes precedence
+        anchored = ("--anchor", "250:8.83")
+        assert _run(capsys, "sweep", path, *argv, *anchored) == _run(
+            capsys, "sweep", CONFIG, *argv, *anchored
+        )
+
     def test_sweep_into_threshold_exits_2(self, capsys):
         code, _, err = _run(
             capsys, "sweep", CONFIG, "--pmin", "50", "--pmax", "600", "--steps", "5",
@@ -295,6 +316,14 @@ class TestSweep:
         )
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith("error: --anchor: ")
+
+    def test_anchor_gain_past_the_pump_bound_is_reported_as_given(self, capsys):
+        assert _run(
+            capsys, "sweep", CONFIG, "--pmin", "50", "--pmax", "200", "--anchor", "250:1e200"
+        ) == (
+            EXIT_VALIDATION, "",
+            "error: --anchor: classical gain 1e+200 puts x = 1 - 1/sqrt(G) above 0.999999999\n",
+        )
 
     def test_anchor_with_non_finite_threshold_exits_2(self, capsys):
         # 1e300 mW at G = 1.0001 puts the threshold 1e300 / x^2 beyond float range
@@ -603,6 +632,17 @@ class TestBenchmarkDataset:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith(f"error: crystal_1.{record}: ")
 
+    def test_check_with_gain_past_the_pump_bound_names_the_gain(self, capsys, tmp_path):
+        data = load_dataset()
+        data["crystals"][0]["records"]["gain"]["value"] = 1e200
+        path = tmp_path / "huge_gain.json"
+        path.write_text(json.dumps(data))
+        assert _run(capsys, "paper", "--check", "--dataset", str(path)) == (
+            EXIT_VALIDATION, "",
+            "error: crystal_1.gain: classical gain 1e+200 puts x = 1 - 1/sqrt(G) above "
+            "0.999999999\n",
+        )
+
     def test_check_with_huge_jitter_record_fails_its_criteria(self, capsys, tmp_path):
         # A finite record far outside the model runs to FAIL lines, not a traceback.
         data = load_dataset()
@@ -696,22 +736,34 @@ class TestBenchmarkDataset:
                 assert (code, out) == (EXIT_VALIDATION, ""), content
                 assert err.startswith(f"error: {path}: not valid JSON: ")
 
-    def test_utf8_dataset_is_read_under_an_ascii_locale(self, tmp_path):
-        # JSON is UTF-8 (RFC 8259, section 8.1), whatever the locale's encoding.
-        env = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
-        probe = _python(
-            "import codecs, locale; print(codecs.lookup(locale.getpreferredencoding(False)).name)",
-            env=env,
-        )
-        if probe.stdout.strip() != "ascii":
-            pytest.skip(f"LC_ALL=C selects {probe.stdout.strip()!r}, not ASCII")
+    @staticmethod
+    def _utf8_dataset(tmp_path, note: str) -> str:
+        """The shipped dataset, with ``note`` added to crystal_1's rho anchor,
+        written as UTF-8."""
         raw = load_dataset()
-        raw["crystals"][0]["records"]["rho"]["anchor"] += " \u00b10.001"
+        raw["crystals"][0]["records"]["rho"]["anchor"] += note
         path = tmp_path / "utf8.json"
         path.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
-        proc = _python("sqzopo", "paper", "--check", "--dataset", str(path), module=True, env=env)
+        return str(path)
+
+    def test_utf8_dataset_is_read_under_an_ascii_locale(self, tmp_path):
+        # JSON is UTF-8 (RFC 8259, section 8.1), whatever the locale's encoding.
+        path = self._utf8_dataset(tmp_path, " \u00b10.001")
+        proc = _python("sqzopo", "paper", "--check", "--dataset", path, module=True,
+                       env=_ascii_locale())
         assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), proc.stderr
         assert proc.stdout == PINNED_OUTPUT["paper-check"][1]
+
+    def test_unencodable_anchor_is_escaped_under_an_ascii_locale(self, tmp_path):
+        # stdout cannot carry U+0101 in ASCII: it is written as a backslash
+        # escape, as stderr writes it, and every other line is unchanged.
+        path = self._utf8_dataset(tmp_path, " \u0101")
+        proc = _python("sqzopo", "paper", "--list", "--dataset", path, module=True,
+                       env=_ascii_locale())
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), proc.stderr
+        assert proc.stdout == PINNED_OUTPUT["paper-list"][1].replace(
+            "L = 0.011]", "L = 0.011 \\u0101]"
+        )
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -859,6 +911,17 @@ class TestExactOutput:
         assert (code, err) == (EXIT_OK, "")
         assert out == expected
 
+    @pytest.mark.parametrize("name", list(PINNED_OUTPUT))
+    def test_redirected_stdout_bytes(self, capsys, name):
+        # A benchmark's in-process call swaps sys.stdout for an io.StringIO,
+        # which has no encoding: the writer must find it at call time.
+        argv, expected = PINNED_OUTPUT[name]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(list(argv))
+        assert (code, sink.getvalue()) == (EXIT_OK, expected)
+        assert capsys.readouterr() == ("", "")
+
     def test_out_file_bytes(self, capsys, tmp_path):
         argv, expected = PINNED_OUTPUT["sweep-anchor"]
         path = tmp_path / "sweep.csv"
@@ -902,6 +965,19 @@ class TestExactOutput:
         assert dict(zip(header.split(","), row.split(","))) == dict(
             zip(header.split(","), expected)
         )
+
+
+def _ascii_locale() -> dict[str, str]:
+    """Environment for an interpreter whose locale encoding is ASCII; skips
+    the test where ``LC_ALL=C`` selects another encoding."""
+    env = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    probe = _python(
+        "import codecs, locale; print(codecs.lookup(locale.getpreferredencoding(False)).name)",
+        env=env,
+    )
+    if probe.stdout.strip() != "ascii":
+        pytest.skip(f"LC_ALL=C selects {probe.stdout.strip()!r}, not ASCII")
+    return env
 
 
 def _python(

@@ -155,9 +155,17 @@ class TestPumpParameter:
             PumpOperatingPoint(-0.1)
 
     def test_gain_rounding_x_to_one_rejected(self):
-        # 1 - 1/sqrt(1e33) rounds to exactly 1.0, the threshold itself
-        with pytest.raises(ValueError, match=r"\[0, 0\.999999999\], got 1\.0"):
-            PumpOperatingPoint.from_gain(1e33)
+        # 1 - 1/sqrt(G) rounds above PUMP_X_MAX, to exactly 1.0 from 1e33 on:
+        # the message gives the gain, not an x the caller never gave
+        for gain in (1e19, 1e33, 1e200):
+            with pytest.raises(ValueError) as err:
+                PumpOperatingPoint.from_gain(gain)
+            assert str(err.value) == (
+                f"classical gain {gain} puts x = 1 - 1/sqrt(G) above 0.999999999"
+            )
+
+    def test_largest_gain_is_accepted(self):
+        assert PumpOperatingPoint.from_gain(1e18).x == PUMP_X_MAX
 
     def test_representation_equivalence_grid(self):
         # gain and power descriptions agree whenever G = 1/(1 - sqrt(P/P_th))^2
