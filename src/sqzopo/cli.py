@@ -3,10 +3,10 @@ pump-power sweeps, Monte-Carlo oracle runs, and the embedded benchmark
 dataset, which :mod:`sqzopo.dataset` reads, lists and checks.
 
 Exit codes: 0 success, 1 a `paper --check` criterion failed, 2 validation
-error, 3 infeasible fit or correction, 4 oracle assertion failure.  Each
-handler returns its exit code and its report's lines, and :func:`main` writes
-them, to stdout or to ``--out``; diagnostics go to stderr.  A handler imports
-the modules only it uses, so each call loads just what its subcommand runs.
+error or a missing ``oracle`` extra, 3 infeasible fit or correction, 4 oracle
+assertion failure.  Each handler returns its exit code and its report's lines,
+and :func:`main` writes them (stdout or ``--out``); diagnostics go to stderr.
+A handler imports only the modules it uses, so a call loads just what it runs.
 """
 
 from __future__ import annotations
@@ -206,6 +206,10 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         "--duration/--seed/--segments", LangevinConfig.from_cavity,
         cavity, x=x, dt=dt, duration=duration, seed=args.seed, segments=args.segments,
     )
+    try:  # a bad config or flag is named first; the run-size checks below come after
+        import numpy  # noqa: F401  (langevin imports it inside its functions)
+    except ImportError as err:  # exit 2 from main, before any output
+        raise ValueError("oracle needs numpy: pip install 'sqzopo[oracle]'") from err
     # The memory guard reads the run's size, the Nyquist check the sideband.
     (pt,) = _named(
         "--duration/--segments/measurement.frequency_hz", simulate_output_spectrum,

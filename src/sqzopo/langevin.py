@@ -40,8 +40,8 @@ count.  Each port stream yields one row of increments per quadrature.
 Segments start from the exact stationary distribution of the discrete
 update rule, so no burn-in transient enters the estimate.
 
-numpy is imported inside the functions that compute with it, so importing
-the package (and every subcommand but ``oracle``) does not load it.
+numpy, the ``oracle`` extra, is imported only inside the functions that use
+it: importing the package, and every subcommand but ``oracle``, needs none.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ class SpectrumPoint(Record):
         self._store(locals())
 
 
-def _segment_rng(seed: int, segment: int, stream: int) -> np.random.Generator:
+def _segment_rng(seed: int, segment: int, stream: int):  # a numpy Generator
     import numpy as np
 
     return np.random.default_rng(

@@ -1125,6 +1125,125 @@ class TestImportGate:
         assert proc.stdout.splitlines() == ["[]", "['numpy']"]
 
 
+# Makes numpy unimportable, as in an install without the oracle extra.
+_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+
+# Runs cli.main on each (stdout encoding, argv) of the JSON list in its last
+# argument, after the code in its first, and prints each call's exit code,
+# stdout, stderr and --out file as JSON.
+_REPLAY = """
+import contextlib, io, json, sys
+exec(sys.argv[1])
+from sqzopo import cli
+results = []
+for encoding, argv in json.loads(sys.argv[2]):
+    out, err = io.BytesIO(), io.StringIO()
+    stdout = io.TextIOWrapper(out, encoding=encoding, newline="\\n")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    stdout.flush()
+    written = None
+    if "--out" in argv:
+        with open(argv[argv.index("--out") + 1], encoding="utf-8") as f:
+            written = f.read()
+    results.append([code, out.getvalue().decode(encoding), err.getvalue(), written])
+print(json.dumps(results))
+"""
+
+
+class TestWithoutNumpy:
+    """An install without the ``oracle`` extra has no numpy: every other
+    subcommand runs as it does with numpy, and ``oracle`` exits 2 naming the
+    extra."""
+
+    @staticmethod
+    def _ci_calls(tmp_path) -> list[tuple[int, str, list[str]]]:
+        """(exit code, stdout encoding, argv) of each non-oracle console-script
+        call of the CI workflow's tier1 job."""
+        sweep = ["sweep", CONFIG, "--pmin", "50", "--pmax", "450", "--steps", "9",
+                 "--anchor", "250:8.83"]
+        x_config = _write_config(tmp_path, lambda raw: raw.update(
+            pump={"mode": "x", "value": 1 - 1 / math.sqrt(8.83)}))
+        utf8 = TestBenchmarkDataset._utf8_dataset(tmp_path, " ā")
+        dataset_file = str(cli.packaged_config_path("reference_dataset.json"))
+        ok = EXIT_OK
+        calls = [
+            (ok, ["predict", CONFIG, "--corrected"]),
+            (ok, ["predict", CONFIG, "--approx"]),
+            (ok, ["predict", CONFIG, "--format", "csv"]),
+            (ok, sweep),
+            (ok, [*sweep, "--out", str(tmp_path / "sweep.csv")]),
+            (ok, [*sweep[:7], "20000", *sweep[8:]]),
+            (ok, ["predict", CONFIG_POWER, "--corrected"]),
+            (ok, ["sweep", CONFIG_POWER, "--pmin", "50", "--pmax", "450", "--steps", "9"]),
+            (EXIT_VALIDATION, ["sweep", CONFIG_POWER, "--pmin", "68.7",
+                               "--pmax", "567.92999886414", "--steps", "37"]),
+            (ok, ["predict", x_config, "--corrected"]),
+            (ok, ["fit", x_config, "--sq-db", "-5.80"]),
+            (ok, ["correct", "--level-db", "-5.6", "--clearance-db", "-17.75"]),
+            (ok, ["fit", CONFIG, "--sq-db", "-5.80"]),
+            (ok, ["fit", CONFIG, "--sq-db", "-5.80", "--approx"]),
+            (ok, ["fit", CONFIG, "--sq-db", "-5.80", "--asq-db", "12.72", "--joint"]),
+            (ok, ["fit", CONFIG, "--sq-db", "-5.80", "--asq-db", "12.72", "--joint",
+                  "--approx"]),
+            (ok, ["fit", CONFIG, "--sq-db", "-9", "--asq-db", "12.7", "--joint"]),
+            (EXIT_INFEASIBLE, ["fit", CONFIG, "--sq-db", "-9.5"]),
+            (EXIT_INFEASIBLE, ["correct", "--level-db", "-20", "--clearance-db", "-17.75"]),
+            (ok, ["paper", "--check"]),
+            (ok, ["paper", "--check", "--dataset", dataset_file]),
+            (ok, ["paper", "--list"]),
+            (ok, ["paper", "--list", "--dataset", dataset_file]),
+        ]
+        return [(code, "utf-8", argv) for code, argv in calls] + [
+            (ok, "ascii", ["paper", "--list", "--dataset", utf8])  # the anchor's escape
+        ]
+
+    def test_other_subcommands_print_the_same_bytes(self, tmp_path):
+        calls = self._ci_calls(tmp_path)
+        spec = json.dumps([[encoding, argv] for _, encoding, argv in calls])
+        runs = {}
+        for name, setup in (("numpy", ""), ("blocked", _BLOCK_NUMPY)):
+            proc = _python(_REPLAY, setup, spec)
+            assert proc.returncode == 0, proc.stderr
+            runs[name] = json.loads(proc.stdout)
+        assert runs["blocked"] == runs["numpy"]
+        assert [code for code, *_ in runs["blocked"]] == [code for code, _, _ in calls]
+
+    @pytest.mark.parametrize(
+        "segments, out, message",
+        [
+            ("8", False, "oracle needs numpy: pip install 'sqzopo[oracle]'"),
+            ("8", True, "oracle needs numpy: pip install 'sqzopo[oracle]'"),
+            # a bad flag is named before the missing extra
+            ("2", True, "--duration/--seed/--segments: at least 8 segments required "
+                        "for a standard error, got 2"),
+        ],
+        ids=["stdout", "out-file", "bad-flag-first"],
+    )
+    def test_oracle_exits_2_naming_the_extra(self, tmp_path, segments, out, message):
+        path = tmp_path / "oracle.csv"
+        argv = ["oracle", CONFIG, "--segments", segments, *(["--out", str(path)] if out else [])]
+        proc = _python(_BLOCK_NUMPY + "from sqzopo.cli import run\nrun()\n", *argv)
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, ""), proc.stderr
+        assert proc.stderr == f"error: {message}\n"
+        assert not path.exists()
+
+    def test_every_export_resolves(self):
+        # langevin's annotations name no numpy type, so they resolve without it.
+        proc = _python(
+            _BLOCK_NUMPY + "import typing, sqzopo\n"
+            "missing = [n for n in sqzopo.__all__ if getattr(sqzopo, n, None) is None]\n"
+            "print(sqzopo.LangevinConfig.__name__, len(sqzopo.__all__), missing)\n"
+            "from sqzopo import langevin\n"
+            "print(typing.get_type_hints(langevin._segment_rng))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "LangevinConfig 30 []",
+            "{'seed': <class 'int'>, 'segment': <class 'int'>, 'stream': <class 'int'>}",
+        ]
+
+
 @pytest.mark.parametrize("module", ["sqzopo", "sqzopo.cli"])
 def test_python_m_matches_main(capsys, module):
     proc = _python(module, "predict", CONFIG, module=True)
